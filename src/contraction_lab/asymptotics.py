@@ -12,14 +12,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .contraction import Contraction
+from .contraction import Contraction, defect_data
 from .linalg import (
     DEFAULT_TOL,
     Subspace,
     Tolerances,
     compress,
-    herm,
     op_norm,
+    range_of,
 )
 
 __all__ = [
@@ -39,6 +39,8 @@ __all__ = [
 
 # Residual threshold for block identities derived from converged limits.
 BLOCK_RTOL = 1e-8
+# Cap on the squarings of T in the asymptotic limit: effective power 2^60.
+MAX_DOUBLINGS = 60
 
 
 class NoConvergenceError(RuntimeError):
@@ -63,31 +65,28 @@ class AsymptoticData:
     idempotent: bool
 
 
-def _psd_kernel(s: np.ndarray, tol: Tolerances) -> Subspace:
-    """Kernel of a Hermitian PSD matrix at the operator-ball scale.
-
-    Asymptotic limits satisfy 0 <= S <= I, so "zero" means small against
-    1, not against the largest eigenvalue (which may itself be round-off).
-    """
-    d = s.shape[0]
-    if d == 0:
-        return Subspace(0, np.zeros((0, 0), dtype=complex))
-    w, v = np.linalg.eigh(herm(s))
-    cut = tol.rank_rtol * max(1.0, float(w[-1]))
-    return Subspace(d, v[:, w <= cut])
-
-
-def asymptotic_limit(c: Contraction, tol: Tolerances = DEFAULT_TOL,
-                     max_doublings: int = 60) -> AsymptoticData:
-    """Compute S_T = lim T*^n T^n for a square contraction.
+def asymptotic_limit(c: Contraction,
+                     tol: Tolerances = DEFAULT_TOL) -> AsymptoticData:
+    """Compute S_T = lim T*^n T^n for a square contraction (cached).
 
     The quadratic forms of A_n = T*^n T^n decrease monotonically, so the
     subsampled sequence at powers 2^k converges; doubling the power keeps
     the iteration faithful to the definition while reaching the limit in
-    logarithmically many multiplies even for non-diagonalizable T.
+    logarithmically many multiplies even for non-diagonalizable T.  The
+    result is cached on c per tolerances, so its arrays are read-only.
     """
     if not c.is_square:
         raise ValueError("asymptotic_limit expects a square contraction")
+    data = c._limit_cache.get(tol)
+    if data is None:
+        data = _compute_limit(c, tol)
+        for a in (data.s_t, data.null_s.basis, data.fix_s.basis):
+            a.setflags(write=False)
+        c._limit_cache[tol] = data
+    return data
+
+
+def _compute_limit(c: Contraction, tol: Tolerances) -> AsymptoticData:
     d = c.dim
     if d == 0:
         z = np.zeros((0, 0), dtype=complex)
@@ -96,7 +95,7 @@ def asymptotic_limit(c: Contraction, tol: Tolerances = DEFAULT_TOL,
     m = c.mat  # T^(2^k) as k grows
     a_prev = m.conj().T @ m
     power = 1
-    for _ in range(max_doublings):
+    for _ in range(MAX_DOUBLINGS):
         m = m @ m
         power *= 2
         a = m.conj().T @ m
@@ -105,10 +104,14 @@ def asymptotic_limit(c: Contraction, tol: Tolerances = DEFAULT_TOL,
         if resid < tol.conv_tol:
             s = 0.5 * (a + a.conj().T)
             idem = op_norm(s @ s - s) <= BLOCK_RTOL * max(1.0, op_norm(s))
+            # 0 <= S <= I: the kernels of S and I - S share one eigenbasis and
+            # are cut against 1, not against a possibly round-off eigenvalue
+            w, v = np.linalg.eigh(s)
+            cut = tol.rank_rtol * max(1.0, w[-1], 1.0 - w[0])
             return AsymptoticData(
                 s_t=s,
-                null_s=_psd_kernel(s, tol),
-                fix_s=_psd_kernel(np.eye(d) - s, tol),
+                null_s=Subspace(d, v[:, w <= cut]),
+                fix_s=Subspace(d, v[:, 1.0 - w <= cut]),
                 iterations=power,
                 idempotent=idem,
             )
@@ -149,8 +152,7 @@ def canonical_triangulation(c: Contraction,
             Contraction(q), tol).s_t) <= 10.0 * tol.rank_rtol
     w_c1 = True
     if range_s.dim:
-        s_w = asymptotic_limit(Contraction(w), tol).s_t
-        w_c1 = _psd_kernel(s_w, tol).dim == 0
+        w_c1 = asymptotic_limit(Contraction(w), tol).null_s.dim == 0
     return Triangulation(
         split=(null_s, range_s),
         q_block=q, r_block=r, w_block=w,
@@ -185,10 +187,8 @@ def _eig_split(s: np.ndarray, tol: Tolerances):
 
 
 def stability_flags(c: Contraction, tol: Tolerances = DEFAULT_TOL) -> ClassFlags:
-    s = asymptotic_limit(c, tol)
-    s_star = asymptotic_limit(c.adjoint(), tol)
-    z, p, f = _eig_split(s.s_t, tol)
-    zs, ps, fs = _eig_split(s_star.s_t, tol)
+    z, p, f = _eig_split(asymptotic_limit(c, tol).s_t, tol)
+    zs, ps, fs = _eig_split(asymptotic_limit(c.adjoint(), tol).s_t, tol)
     return ClassFlags(
         stable=(p == 0),
         injective=(z == 0),
@@ -198,9 +198,7 @@ def stability_flags(c: Contraction, tol: Tolerances = DEFAULT_TOL) -> ClassFlags
     )
 
 
-def class_of(c: Contraction, tol: Tolerances = DEFAULT_TOL) -> str:
-    """Stability class label: C00, C01, C10, C11, or mixed."""
-    flags = stability_flags(c, tol)
+def _class_label(flags: ClassFlags) -> str:
     first = "0" if flags.stable else ("1" if flags.injective else None)
     second = "0" if flags.star_stable else ("1" if flags.star_injective else None)
     if first is None or second is None:
@@ -208,40 +206,32 @@ def class_of(c: Contraction, tol: Tolerances = DEFAULT_TOL) -> str:
     return f"C{first}{second}"
 
 
+def class_of(c: Contraction, tol: Tolerances = DEFAULT_TOL) -> str:
+    """Stability class label: C00, C01, C10, C11, or mixed."""
+    return _class_label(stability_flags(c, tol))
+
+
 def reducing_isometric_part(c: Contraction,
                             tol: Tolerances = DEFAULT_TOL) -> Subspace:
     """Largest reducing subspace on which c acts isometrically.
 
-    Built as the orthogonal complement of span{T^n (I - T*^j T^j) x} for
-    n, j up to the dimension; powers beyond that add nothing since they
-    are linear combinations of lower ones.
+    The orthogonal complement of the reducing hull of R(D_T), the smallest
+    subspace containing R(D_T) that T and T* leave invariant, grown as
+    S <- span{S, T S, T* S} until its dimension stops growing (at most d
+    steps).  The complement of the hull reduces T and lies in N(D_T); any
+    reducing subspace inside N(D_T) is orthogonal to the hull.
     """
     if not c.is_square:
         raise ValueError("reducing_isometric_part expects a square contraction")
     t = c.mat
-    d = c.dim
-    if d == 0:
-        return Subspace(0, np.zeros((0, 0), dtype=complex))
-    eye = np.eye(d, dtype=complex)
-    gaps = []
-    tj = eye.copy()
-    for _ in range(d):
-        tj = tj @ t
-        gaps.append(eye - tj.conj().T @ tj)
-    cols = []
-    for g in gaps:
-        tn = eye.copy()
-        cols.append(g)
-        for _ in range(d):
-            tn = t @ tn
-            cols.append(tn @ g)
-    stacked = np.hstack(cols)
-    # spans live at the operator-ball scale: an all-round-off stack means
-    # the trivial span, not a full-rank one
-    u, s, _ = np.linalg.svd(stacked, full_matrices=True)
-    k = int(np.sum(s > tol.rank_rtol * max(1.0, float(s[0]) if s.size else 0.0)))
-    span = Subspace(d, u[:, :k])
-    return span.complement()
+    hull = defect_data(c, tol).defect_space
+    while 0 < hull.dim < c.dim:
+        q = hull.basis
+        grown = range_of(np.hstack([q, t @ q, t.conj().T @ q]), tol)
+        if grown.dim == hull.dim:
+            break
+        hull = grown
+    return hull.complement()
 
 
 def reducing_unitary_part(c: Contraction,
@@ -265,9 +255,10 @@ class PartsData:
 
 
 def reducing_parts(c: Contraction, tol: Tolerances = DEFAULT_TOL) -> PartsData:
+    flags = stability_flags(c, tol)
     return PartsData(
         h_i=reducing_isometric_part(c, tol),
         h_u=reducing_unitary_part(c, tol),
-        class_label=class_of(c, tol),
-        flags=stability_flags(c, tol),
+        class_label=_class_label(flags),
+        flags=flags,
     )

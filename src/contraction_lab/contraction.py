@@ -73,11 +73,12 @@ class DefectData:
 class Contraction:
     """Element of the closed unit ball of complex matrices.
 
-    The matrix is stored read-only; defect data is computed lazily and
-    cached per tolerance instance (recompute-equal semantics).
+    The matrix is stored read-only; defect data and the asymptotic limit
+    are computed lazily and cached per tolerance instance (recompute-equal
+    semantics), and the cached adjoint has this instance as its adjoint.
     """
 
-    __slots__ = ("mat", "tags", "_defect_cache")
+    __slots__ = ("mat", "tags", "_defect_cache", "_limit_cache", "_adjoint")
 
     def __init__(self, mat: np.ndarray, tags: frozenset = frozenset()):
         m = as_matrix(mat).copy()
@@ -85,6 +86,8 @@ class Contraction:
         self.mat = m
         self.tags = frozenset(tags)
         self._defect_cache: dict = {}
+        self._limit_cache: dict = {}
+        self._adjoint: Optional["Contraction"] = None
 
     @property
     def shape(self):
@@ -101,7 +104,10 @@ class Contraction:
         return self.mat.shape[0] == self.mat.shape[1]
 
     def adjoint(self) -> "Contraction":
-        return Contraction(self.mat.conj().T, self.tags)
+        if self._adjoint is None:
+            self._adjoint = Contraction(self.mat.conj().T, self.tags)
+            self._adjoint._adjoint = self
+        return self._adjoint
 
     def __repr__(self):
         return f"Contraction(shape={self.mat.shape}, norm={op_norm(self.mat):.6f})"

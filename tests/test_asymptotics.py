@@ -15,8 +15,9 @@ from contraction_lab import (
     reducing_parts,
     reducing_unitary_part,
 )
+from contraction_lab import asymptotics
 from contraction_lab.corpus import GenSpec, generate
-from contraction_lab.linalg import op_norm
+from contraction_lab.linalg import DEFAULT_TOL, Subspace, op_norm
 
 from conftest import rng_matrix, square_contractions
 
@@ -164,3 +165,105 @@ class TestReducingParts:
         fix = asymptotic_limit(t).fix_s
         assert fix.contains(parts.h_i)
         assert parts.h_i.contains(parts.h_u)
+
+
+# The five structures of the analyze report, with the dimension of the
+# reducing isometric part each is built to have (k = size of the block).
+ANALYZE_KINDS = {
+    "generic": (lambda d, seed, k: GenSpec(d, "generic", seed), lambda k: 0),
+    "u_plus_q": (lambda d, seed, k: GenSpec(d, "direct_sum_U_plus_Q", seed,
+                                            {"unitary_dim": k}), lambda k: k),
+    "rotated_quasi_isometry": (
+        lambda d, seed, k: GenSpec(d, "quasi_isometry", seed,
+                                   {"isometry_dim": k, "rotate": True}), lambda k: k),
+    "nilpotent_shift": (lambda d, seed, k: GenSpec(d, "nilpotent_shift", seed),
+                        lambda k: 0),
+    "normal_boundary": (lambda d, seed, k: GenSpec(d, "normal", seed,
+                                                   {"boundary_count": k}), lambda k: k),
+}
+
+
+def span_definition_part(c):
+    """Complement of span{T^n (I - T*^j T^j)}, 0 <= n <= d, 1 <= j <= d."""
+    t, d = c.mat, c.dim
+    eye = np.eye(d, dtype=complex)
+    cols = []
+    tj = eye
+    for _ in range(d):
+        tj = tj @ t
+        g = eye - tj.conj().T @ tj
+        for _ in range(d + 1):
+            cols.append(g)
+            g = t @ g
+    u, s, _ = np.linalg.svd(np.hstack(cols), full_matrices=False)
+    k = int(np.sum(s > DEFAULT_TOL.rank_rtol * max(1.0, float(s[0]))))
+    return Subspace(d, u[:, :k]).complement()
+
+
+class TestReducingHull:
+    @pytest.mark.parametrize("kind", sorted(ANALYZE_KINDS))
+    @pytest.mark.parametrize("d", [2, 4, 8])
+    def test_matches_span_definition(self, kind, d):
+        make_spec, _ = ANALYZE_KINDS[kind]
+        for seed in range(4):
+            c = generate(make_spec(d, seed, 1 + seed % (d - 1)))
+            assert reducing_isometric_part(c).equals(span_definition_part(c))
+
+    @pytest.mark.parametrize("kind", sorted(ANALYZE_KINDS))
+    @pytest.mark.parametrize("d", [16, 32])
+    def test_reduces_and_is_isometric_at_large_d(self, kind, d):
+        make_spec, expected_dim = ANALYZE_KINDS[kind]
+        for seed, k in ((0, 1), (1, d // 2 - 1), (2, d - 3)):
+            c = generate(make_spec(d, seed, k))
+            h_i = reducing_isometric_part(c)
+            assert h_i.dim == expected_dim(k)
+            if h_i.dim == 0:
+                continue
+            p = h_i.projector()
+            img = c.mat @ h_i.basis
+            img_adj = c.mat.conj().T @ h_i.basis
+            assert op_norm(img - p @ img) < 1e-7
+            assert op_norm(img_adj - p @ img_adj) < 1e-7
+            assert op_norm(img.conj().T @ img - np.eye(h_i.dim)) < 1e-7
+
+
+class TestMemoization:
+    def test_limit_is_shared(self):
+        c = make_contraction(np.diag([1.0, 0.5]))
+        assert asymptotic_limit(c, DEFAULT_TOL) is asymptotic_limit(c, DEFAULT_TOL)
+
+    def test_adjoint_round_trips(self):
+        c = make_contraction(np.diag([1.0, 0.5]))
+        assert c.adjoint() is c.adjoint()
+        assert c.adjoint().adjoint() is c
+
+    def test_shared_limit_is_read_only(self):
+        data = asymptotic_limit(make_contraction(np.diag([1.0, 0.5])))
+        assert data.null_s.dim == 1 and data.fix_s.dim == 1
+        for a in (data.s_t, data.null_s.basis, data.fix_s.basis):
+            with pytest.raises(ValueError):
+                a[0, 0] = 7.0
+
+    def test_analyze_computes_each_limit_once(self, monkeypatch):
+        computed = []
+        original = asymptotics._compute_limit
+
+        def counting(c, tol):
+            computed.append(c.mat.copy())
+            return original(c, tol)
+
+        monkeypatch.setattr(asymptotics, "_compute_limit", counting)
+        c = generate(GenSpec(6, "direct_sum_U_plus_Q", 2, {"unitary_dim": 2}))
+        # the calls of the CLI analyze report
+        asymptotic_limit(c)
+        canonical_triangulation(c)
+        reducing_parts(c)
+        class_of(c)
+
+        def count(m):
+            return sum(a.shape == m.shape and np.array_equal(a, m) for a in computed)
+
+        assert count(c.mat) == 1
+        assert count(c.mat.conj().T) == 1
+        # the rest are the q and w blocks of the triangulation
+        assert len(computed) == 4

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from contraction_lab.cli import main
+from contraction_lab.corpus import GenSpec, generate
 from contraction_lab.linalg import matrix_from_json, matrix_to_json
 
 
@@ -80,6 +81,13 @@ class TestAnalyze:
         code, report = run_cli(["--max-level", "32", "analyze", files["zero2"]])
         assert code == 0
         assert report["tolerances"]["max_level"] == 32
+
+    def test_u_plus_q_at_d32(self, tmp_path):
+        t = generate(GenSpec(dim=32, kind="direct_sum_U_plus_Q", seed=4,
+                             params={"unitary_dim": 12}))
+        code, report = run_cli(["analyze", write_matrix(tmp_path / "m.json", t.mat)])
+        assert code == 0
+        assert report["parts"] == {"dim_h_i": 12, "dim_h_u": 12}
 
 
 class TestPartAndArc:
