@@ -4,12 +4,15 @@ Polynomials F(lambda) = sum coeffs[k] lambda^k with contractive values on
 the disc connect Shmul'yan-equivalent contractions; chains of such arcs
 bound the Kobayashi pseudo-distance from above by summed hyperbolic hop
 lengths.  Sup-norms are certified by circle sampling plus a derivative
-(Lipschitz) error term, refined around the grid maximum, so every
-reported bound is a true upper bound.
+(Lipschitz) error term on every grid arc.  Refinement is best-first: the
+arcs sit on a binary heap keyed by their bound, the worst arc is bisected
+next, and ties go to the oldest arc.  Every reported bound is a true
+upper bound.
 """
 
 from __future__ import annotations
 
+import heapq
 import math
 from dataclasses import dataclass
 from typing import Optional
@@ -51,6 +54,8 @@ __all__ = [
 ENDPOINT_RTOL = 1e-8
 HOP_FRACTION = 0.9
 HOP_BUDGET = 64
+SPLIT_BUDGET = 400
+SUP_GAP = 1e-9
 
 
 class NotMemberError(ValueError):
@@ -120,9 +125,14 @@ def _certified_sup(coeffs, tol: Tolerances):
     Each grid arc carries the bound max(end values) + min(L h/2, L2 h^2/8)
     with L = sum k ||c_k|| and L2 = sum k^2 ||c_k||; the norm is a pointwise
     max of smooth branches with those derivative bounds, so the arc bounds
-    are true.  Top arcs are bisected until the certificate matches the
-    best observed value to ~1e-9 (or the split budget runs out, leaving a
-    slightly larger but still valid bound).
+    are true.  The arcs sit on a heap keyed by (-bound, insertion index),
+    grid arcs numbered in theta order and each split's lower half before
+    its upper half.  So the worst arc is bisected next and ties go to the
+    oldest arc, the arc a linear scan for the first maximum of an
+    insertion-ordered list picks: the bounds are the same floats, found at
+    O(log n) per split.  Refinement stops when the top bound is within
+    SUP_GAP of the best observed value (or after SPLIT_BUDGET splits,
+    leaving a slightly larger but still valid bound).
     """
     if coeffs[0].size == 0:
         return 0.0, "exact-diagonal"
@@ -134,27 +144,27 @@ def _certified_sup(coeffs, tol: Tolerances):
     theta = list(2.0 * np.pi * np.arange(samples) / samples) + [2.0 * np.pi]
     vals = list(_boundary_values(coeffs, samples))
     vals.append(vals[0])
-    arcs = [(theta[i], theta[i + 1], vals[i], vals[i + 1]) for i in range(samples)]
 
-    def bound(arc):
-        lo, hi, vlo, vhi = arc
+    def arc(index, lo, hi, vlo, vhi):
         h = hi - lo
-        return max(vlo, vhi) + min(0.5 * lip * h, 0.125 * lip2 * h * h)
+        bound = max(vlo, vhi) + min(0.5 * lip * h, 0.125 * lip2 * h * h)
+        return (-bound, index, lo, hi, vlo, vhi)
 
+    arcs = [arc(i, theta[i], theta[i + 1], vals[i], vals[i + 1])
+            for i in range(samples)]
+    heapq.heapify(arcs)
     best_val = max(vals)
-    for _ in range(400):
-        top = max(arcs, key=bound)
-        if bound(top) - best_val <= 1e-9 * max(1.0, best_val):
+    for split in range(SPLIT_BUDGET):
+        neg_bound, _, lo, hi, vlo, vhi = arcs[0]
+        if -neg_bound - best_val <= SUP_GAP * max(1.0, best_val):
             break
-        arcs.remove(top)
-        lo, hi, vlo, vhi = top
         mid = 0.5 * (lo + hi)
         vmid = _norm_at_angle(coeffs, mid)
         best_val = max(best_val, vmid)
-        arcs.append((lo, mid, vlo, vmid))
-        arcs.append((mid, hi, vmid, vhi))
-    certified = max(bound(a) for a in arcs)
-    return float(certified), "grid"
+        index = samples + 2 * split
+        heapq.heapreplace(arcs, arc(index, lo, mid, vlo, vmid))
+        heapq.heappush(arcs, arc(index + 1, mid, hi, vmid, vhi))
+    return float(-arcs[0][0]), "grid"
 
 
 def schur_poly(coeffs, tol: Tolerances = DEFAULT_TOL) -> SchurPoly:

@@ -20,8 +20,9 @@ from contraction_lab import (
     shmulyan_equivalent,
     toeplitz_truncate,
 )
+from contraction_lab import schur
 from contraction_lab.corpus import GenSpec, generate, random_unitary
-from contraction_lab.linalg import op_norm
+from contraction_lab.linalg import DEFAULT_TOL, op_norm
 
 from conftest import rng_matrix, scaled_contraction
 
@@ -33,12 +34,21 @@ def sc(x):
     return make_contraction([[x]])
 
 
-def rand_poly(seed, rows, cols, degree, scale=0.4):
+def rand_coeffs(seed, rows, cols, degree, scale=0.4):
     rng = np.random.default_rng(seed)
-    coeffs = [scale * (rng.standard_normal((rows, cols)) +
-                       1j * rng.standard_normal((rows, cols))) / (k + 1)
-              for k in range(degree + 1)]
-    return schur_poly(coeffs)
+    return [scale * (rng.standard_normal((rows, cols)) +
+                     1j * rng.standard_normal((rows, cols))) / (k + 1)
+            for k in range(degree + 1)]
+
+
+def rand_poly(seed, rows, cols, degree, scale=0.4):
+    return schur_poly(rand_coeffs(seed, rows, cols, degree, scale))
+
+
+# w + lam Z with w = diag(1, 0) and Z on the defect spaces of w: the norm is
+# 1 on the whole circle, every grid arc has the same bound, and no split
+# lowers the top bound, so refinement spends the whole split budget.
+FLAT_ARC = (np.diag([1.0, 0.0]).astype(complex), np.diag([0.0, 0.5]).astype(complex))
 
 
 class TestSupNorm:
@@ -57,11 +67,110 @@ class TestSupNorm:
         f = schur_poly([np.array([[0.3]]), np.array([[0.4]])])
         assert f.sup_norm_estimate == pytest.approx(0.7, abs=1e-6)
 
-    def test_upper_bound_dominates_samples(self):
-        f = rand_poly(3, 2, 2, 4)
-        grid = np.exp(2j * np.pi * np.arange(2048) / 2048)
-        dense = max(op_norm(f.eval_at(z)) for z in grid)
+    @pytest.mark.parametrize("coeffs", [
+        pytest.param(rand_coeffs(3, 2, 2, 4), id="2x2-degree-4"),
+        pytest.param(FLAT_ARC, id="flat-norm-budget"),
+        pytest.param(rand_coeffs(8, 4, 4, 3), id="4x4-degree-3"),
+        pytest.param(rand_coeffs(9, 2, 3, 2), id="2x3-degree-2"),
+    ])
+    def test_upper_bound_dominates_samples(self, coeffs):
+        f = schur_poly(coeffs)
+        dense = circle_samples(f.coeffs, 16384).max()
         assert schur_sup_norm(f) >= dense - 1e-12
+
+
+def circle_samples(coeffs, samples):
+    """||F|| at `samples` equally spaced points of the unit circle."""
+    lam = np.exp(2j * np.pi * np.arange(samples) / samples)
+    powers = lam[:, None] ** np.arange(len(coeffs))
+    values = np.einsum("sk,kij->sij", powers, np.array(coeffs))
+    return np.linalg.svd(values, compute_uv=False)[:, 0]
+
+
+def linear_scan_sup(coeffs, tol):
+    """Reference: the certified sup-norm by a linear scan over an arc list.
+
+    This is the refinement as first written, with `max` taking the first
+    maximal arc in list order; the heap in `schur._certified_sup` must
+    split the same arcs and return the same floats.
+    """
+    if coeffs[0].size == 0:
+        return 0.0, "exact-diagonal"
+    if len(coeffs) == 1:
+        return op_norm(coeffs[0]), "exact-diagonal"
+    samples = tol.grid_points
+    lip = sum(k * op_norm(c) for k, c in enumerate(coeffs))
+    lip2 = sum(k * k * op_norm(c) for k, c in enumerate(coeffs))
+    theta = list(2.0 * np.pi * np.arange(samples) / samples) + [2.0 * np.pi]
+    vals = list(schur._boundary_values(coeffs, samples))
+    vals.append(vals[0])
+    arcs = [(theta[i], theta[i + 1], vals[i], vals[i + 1]) for i in range(samples)]
+
+    def bound(arc):
+        lo, hi, vlo, vhi = arc
+        h = hi - lo
+        return max(vlo, vhi) + min(0.5 * lip * h, 0.125 * lip2 * h * h)
+
+    best_val = max(vals)
+    for _ in range(400):
+        top = max(arcs, key=bound)
+        if bound(top) - best_val <= 1e-9 * max(1.0, best_val):
+            break
+        arcs.remove(top)
+        lo, hi, vlo, vhi = top
+        mid = 0.5 * (lo + hi)
+        vmid = schur._norm_at_angle(coeffs, mid)
+        best_val = max(best_val, vmid)
+        arcs.append((lo, mid, vlo, vmid))
+        arcs.append((mid, hi, vmid, vhi))
+    certified = max(bound(a) for a in arcs)
+    return float(certified), "grid"
+
+
+ORACLE_POLYS = [(seed, rows, cols, degree)
+                for seed, (rows, cols) in enumerate(
+                    [(1, 1), (2, 2), (3, 3), (4, 4), (2, 3), (4, 1), (1, 3), (3, 4)])
+                for degree in (1 + seed % 4, 4 - seed % 4)]
+
+
+class TestHeapMatchesLinearScan:
+    """The heap refinement returns bit for bit the linear scan's bounds."""
+
+    @pytest.mark.parametrize("seed, rows, cols, degree", ORACLE_POLYS)
+    def test_random_polynomials(self, seed, rows, cols, degree):
+        coeffs = rand_coeffs(seed, rows, cols, degree)
+        got = schur._certified_sup(coeffs, DEFAULT_TOL)
+        assert got == linear_scan_sup(coeffs, DEFAULT_TOL)
+
+    def test_flat_arc_bounds_tie(self):
+        tol = DEFAULT_TOL
+        theta = 2.0 * np.pi * np.arange(tol.grid_points + 1) / tol.grid_points
+        ends = schur._boundary_values(FLAT_ARC, tol.grid_points)
+        h = np.diff(theta)
+        # L = L2 = 0.5, so the grid-arc bounds are ends + min(0.25 h, 0.0625 h^2)
+        bounds = np.maximum(ends, np.roll(ends, -1)) + np.minimum(0.25 * h, 0.0625 * h * h)
+        assert np.all(bounds == bounds[0])
+
+    @pytest.mark.parametrize("coeffs", [
+        pytest.param(FLAT_ARC, id="flat"),
+        # distinct near-tied bounds: the result moves with the split budget
+        pytest.param((FLAT_ARC[0], FLAT_ARC[1] + 1e-4 * rng_matrix(7, 2, 2)),
+                     id="near-flat"),
+    ])
+    def test_split_budget_runs_out(self, coeffs):
+        got = schur._certified_sup(coeffs, DEFAULT_TOL)
+        assert got == linear_scan_sup(coeffs, DEFAULT_TOL)
+        best = circle_samples(coeffs, DEFAULT_TOL.grid_points).max()
+        assert got[0] - best > schur.SUP_GAP
+
+    @pytest.mark.parametrize("coeffs", [
+        pytest.param((np.zeros((1, 1)), np.eye(1)), id="identity"),
+        pytest.param((np.diag([0.5, 0.2]),), id="constant"),
+        pytest.param((np.zeros((0, 3)), np.zeros((0, 3))), id="empty"),
+    ])
+    def test_shortcuts_and_identity(self, coeffs):
+        got = schur._certified_sup(coeffs, DEFAULT_TOL)
+        assert got == linear_scan_sup(coeffs, DEFAULT_TOL)
 
 
 class TestToeplitz:
