@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .contraction import Contraction, defect_data
+from .contraction import MAX_DOUBLINGS, Contraction, defect_data
 from .linalg import (
     DEFAULT_TOL,
     Subspace,
@@ -39,8 +39,6 @@ __all__ = [
 
 # Residual threshold for block identities derived from converged limits.
 BLOCK_RTOL = 1e-8
-# Cap on the squarings of T in the asymptotic limit: effective power 2^60.
-MAX_DOUBLINGS = 60
 
 
 class NoConvergenceError(RuntimeError):
@@ -56,9 +54,10 @@ class NoConvergenceError(RuntimeError):
 
 @dataclass(frozen=True)
 class AsymptoticData:
-    """Limit of T*^n T^n together with its kernel and fixed space."""
+    """Limit of T*^n T^n with its ascending eigenvalues, kernel and fixed space."""
 
     s_t: np.ndarray
+    eigenvalues: np.ndarray
     null_s: Subspace
     fix_s: Subspace
     iterations: int
@@ -80,7 +79,7 @@ def asymptotic_limit(c: Contraction,
     data = c._limit_cache.get(tol)
     if data is None:
         data = _compute_limit(c, tol)
-        for a in (data.s_t, data.null_s.basis, data.fix_s.basis):
+        for a in (data.s_t, data.eigenvalues, data.null_s.basis, data.fix_s.basis):
             a.setflags(write=False)
         c._limit_cache[tol] = data
     return data
@@ -91,7 +90,7 @@ def _compute_limit(c: Contraction, tol: Tolerances) -> AsymptoticData:
     if d == 0:
         z = np.zeros((0, 0), dtype=complex)
         empty = Subspace(0, z)
-        return AsymptoticData(z, empty, empty, 0, True)
+        return AsymptoticData(z, np.zeros(0), empty, empty, 0, True)
     m = c.mat  # T^(2^k) as k grows
     a_prev = m.conj().T @ m
     power = 1
@@ -104,18 +103,27 @@ def _compute_limit(c: Contraction, tol: Tolerances) -> AsymptoticData:
         if resid < tol.conv_tol:
             s = 0.5 * (a + a.conj().T)
             idem = op_norm(s @ s - s) <= BLOCK_RTOL * max(1.0, op_norm(s))
-            # 0 <= S <= I: the kernels of S and I - S share one eigenbasis and
-            # are cut against 1, not against a possibly round-off eigenvalue
+            # the kernels of S and I - S share one eigenbasis
             w, v = np.linalg.eigh(s)
-            cut = tol.rank_rtol * max(1.0, w[-1], 1.0 - w[0])
+            cut = _limit_cut(w, tol)
             return AsymptoticData(
                 s_t=s,
+                eigenvalues=w,
                 null_s=Subspace(d, v[:, w <= cut]),
                 fix_s=Subspace(d, v[:, 1.0 - w <= cut]),
                 iterations=power,
                 idempotent=idem,
             )
     raise NoConvergenceError(op_norm(a - a_prev), power)
+
+
+def _limit_cut(w: np.ndarray, tol: Tolerances) -> float:
+    """Rank cut for the ascending spectrum w of a limit 0 <= S <= I.
+
+    Taken against 1, not against a possibly round-off eigenvalue, so that
+    the kernels of S and of I - S are cut alike.
+    """
+    return tol.rank_rtol * max(1.0, w[-1], 1.0 - w[0]) if w.size else tol.rank_rtol
 
 
 @dataclass(frozen=True)
@@ -178,23 +186,22 @@ class ClassFlags:
     indeterminate: bool
 
 
-def _eig_split(s: np.ndarray, tol: Tolerances):
-    w = np.linalg.eigvalsh(0.5 * (s + s.conj().T)) if s.size else np.zeros(0)
-    cut = tol.rank_rtol * max(1.0, float(w[-1]) if w.size else 0.0)
-    zero = int(np.sum(w <= cut))
-    fuzzy = int(np.sum((w > cut) & (w <= 10.0 * cut)))
-    return zero, w.size - zero, fuzzy
+def _near_cut(data: AsymptoticData, tol: Tolerances) -> bool:
+    w = data.eigenvalues
+    cut = _limit_cut(w, tol)
+    return bool(np.any((w > cut) & (w <= 10.0 * cut)))
 
 
 def stability_flags(c: Contraction, tol: Tolerances = DEFAULT_TOL) -> ClassFlags:
-    z, p, f = _eig_split(asymptotic_limit(c, tol).s_t, tol)
-    zs, ps, fs = _eig_split(asymptotic_limit(c.adjoint(), tol).s_t, tol)
+    """Flags read off the cached limits of T and T*, at their one rank cut."""
+    lim = asymptotic_limit(c, tol)
+    lim_star = asymptotic_limit(c.adjoint(), tol)
     return ClassFlags(
-        stable=(p == 0),
-        injective=(z == 0),
-        star_stable=(ps == 0),
-        star_injective=(zs == 0),
-        indeterminate=bool(f or fs),
+        stable=lim.null_s.dim == c.dim,
+        injective=lim.null_s.dim == 0,
+        star_stable=lim_star.null_s.dim == c.dim,
+        star_injective=lim_star.null_s.dim == 0,
+        indeterminate=_near_cut(lim, tol) or _near_cut(lim_star, tol),
     )
 
 

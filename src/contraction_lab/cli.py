@@ -14,6 +14,7 @@ verdict, 2 for input errors, 3 for numerical failures or indecision.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import hashlib
 import json
 import math
@@ -55,15 +56,8 @@ class InputError(Exception):
 
 
 def _tolerances(args) -> Tolerances:
-    return Tolerances(
-        rank_rtol=args.rank_rtol,
-        psd_atol=args.psd_atol,
-        conv_tol=args.conv_tol,
-        contraction_slack=args.contraction_slack,
-        big_ratio=args.big_ratio,
-        max_level=args.max_level,
-        grid_points=args.grid_points,
-    )
+    return Tolerances(**{f.name: getattr(args, f.name)
+                         for f in dataclasses.fields(Tolerances)})
 
 
 def _read_json(path: str):
@@ -121,7 +115,7 @@ def _base_report(command: str, args, tol: Tolerances, inputs: dict) -> dict:
     return {
         "command": command,
         "inputs": inputs,
-        "tolerances": tol.to_dict(),
+        "tolerances": dataclasses.asdict(tol),
         "seed": getattr(args, "seed", None),
     }
 
@@ -314,14 +308,10 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="contraction-lab",
         description="Oracles for the order geometry of matrix contractions.")
-    parser.add_argument("--rank-rtol", type=float, default=DEFAULT_TOL.rank_rtol)
-    parser.add_argument("--psd-atol", type=float, default=DEFAULT_TOL.psd_atol)
-    parser.add_argument("--conv-tol", type=float, default=DEFAULT_TOL.conv_tol)
-    parser.add_argument("--contraction-slack", type=float,
-                        default=DEFAULT_TOL.contraction_slack)
-    parser.add_argument("--big-ratio", type=float, default=DEFAULT_TOL.big_ratio)
-    parser.add_argument("--max-level", type=int, default=DEFAULT_TOL.max_level)
-    parser.add_argument("--grid-points", type=int, default=DEFAULT_TOL.grid_points)
+    for f in dataclasses.fields(Tolerances):
+        default = getattr(DEFAULT_TOL, f.name)
+        parser.add_argument("--" + f.name.replace("_", "-"),
+                            type=type(default), default=default)
     parser.add_argument("--timing", action="store_true",
                         help="include wall time in the report "
                              "(breaks bit-for-bit reproducibility)")

@@ -39,6 +39,8 @@ __all__ = [
 # Frobenius residual threshold for the defining identities of the
 # classification predicates (polynomial of degree <= 4 in a contraction).
 PREDICATE_RTOL = 1e-8
+# Cap on repeated squarings of a power iteration: effective power 2^60.
+MAX_DOUBLINGS = 60
 
 
 class NotAContractionError(ValueError):
@@ -269,8 +271,7 @@ class PowerLimit:
     projection: np.ndarray
 
 
-def ttstar_power_limit(c: Contraction, tol: Tolerances = DEFAULT_TOL,
-                       max_doublings: int = 60) -> PowerLimit:
+def ttstar_power_limit(c: Contraction, tol: Tolerances = DEFAULT_TOL) -> PowerLimit:
     """Iterate (T*T)^n by repeated squaring until it meets P_{N(D_T)}.
 
     Every matrix contraction has closed defect range, so the powers
@@ -283,7 +284,7 @@ def ttstar_power_limit(c: Contraction, tol: Tolerances = DEFAULT_TOL,
     a = c.mat.conj().T @ c.mat
     power = 1
     resid = op_norm(a - p)
-    for _ in range(max_doublings):
+    for _ in range(MAX_DOUBLINGS):
         if resid < tol.conv_tol:
             return PowerLimit(True, power, resid, p)
         a = a @ a

@@ -38,7 +38,6 @@ __all__ = [
     "psd_sqrt",
     "range_of",
     "rank_of",
-    "subspace_from_columns",
 ]
 
 # Largest principal angle below which two subspaces count as equal.
@@ -107,17 +106,6 @@ class Tolerances:
             raise ValueError("max_level must be at least 2")
         if self.grid_points < 16:
             raise ValueError("grid_points must be at least 16")
-
-    def to_dict(self) -> dict:
-        return {
-            "rank_rtol": self.rank_rtol,
-            "psd_atol": self.psd_atol,
-            "conv_tol": self.conv_tol,
-            "contraction_slack": self.contraction_slack,
-            "big_ratio": self.big_ratio,
-            "max_level": self.max_level,
-            "grid_points": self.grid_points,
-        }
 
 
 DEFAULT_TOL = Tolerances()
@@ -212,14 +200,18 @@ def _svd(m: np.ndarray):
     return np.linalg.svd(m, full_matrices=True)
 
 
+def _rank(s: np.ndarray, tol: Tolerances) -> int:
+    """Count of the descending singular values s above rank_rtol * s[0]."""
+    if s.size == 0 or s[0] == 0.0:
+        return 0
+    return int(np.sum(s > tol.rank_rtol * s[0]))
+
+
 def rank_of(m, tol: Tolerances = DEFAULT_TOL) -> int:
     a = as_matrix(m)
     if a.size == 0:
         return 0
-    s = np.linalg.svd(a, compute_uv=False)
-    if s.size == 0 or s[0] == 0.0:
-        return 0
-    return int(np.sum(s > tol.rank_rtol * s[0]))
+    return _rank(np.linalg.svd(a, compute_uv=False), tol)
 
 
 def pinv(m, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
@@ -228,10 +220,10 @@ def pinv(m, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
     if a.size == 0:
         return a.conj().T.copy()
     u, s, vh = _svd(a)
-    cut = tol.rank_rtol * (s[0] if s.size else 0.0)
-    inv = np.array([1.0 / x if x > cut else 0.0 for x in s])
-    k = s.size
-    return vh.conj().T[:, :k] @ np.diag(inv) @ u.conj().T[:k, :]
+    k, n = _rank(s, tol), s.size
+    inv = np.zeros(n)
+    inv[:k] = 1.0 / s[:k]
+    return vh.conj().T[:, :n] @ np.diag(inv) @ u.conj().T[:n, :]
 
 
 @dataclass(frozen=True)
@@ -305,26 +297,13 @@ class Subspace:
         return Subspace(self.ambient_dim, q)
 
 
-def subspace_from_columns(cols, tol: Tolerances = DEFAULT_TOL) -> Subspace:
-    """Orthonormal basis of the column span at the rank cutoff."""
-    a = as_matrix(cols)
-    if a.size == 0:
-        return Subspace(a.shape[0], np.zeros((a.shape[0], 0), dtype=complex))
-    u, s, _ = _svd(a)
-    cut = tol.rank_rtol * (s[0] if s.size else 0.0)
-    k = int(np.sum(s > cut)) if s.size and s[0] > 0 else 0
-    return Subspace(a.shape[0], u[:, :k])
-
-
 def kernel_of(m, tol: Tolerances = DEFAULT_TOL) -> Subspace:
     """Orthonormal basis of the numerical kernel."""
     a = as_matrix(m)
     if a.size == 0:
         return Subspace(a.shape[1], np.eye(a.shape[1], dtype=complex))
     _, s, vh = _svd(a)
-    cut = tol.rank_rtol * (s[0] if s.size else 0.0)
-    k = int(np.sum(s > cut)) if s.size and s[0] > 0 else 0
-    return Subspace(a.shape[1], vh.conj().T[:, k:])
+    return Subspace(a.shape[1], vh.conj().T[:, _rank(s, tol):])
 
 
 def range_of(m, tol: Tolerances = DEFAULT_TOL) -> Subspace:
@@ -333,9 +312,7 @@ def range_of(m, tol: Tolerances = DEFAULT_TOL) -> Subspace:
     if a.size == 0:
         return Subspace(a.shape[0], np.zeros((a.shape[0], 0), dtype=complex))
     u, s, _ = _svd(a)
-    cut = tol.rank_rtol * (s[0] if s.size else 0.0)
-    k = int(np.sum(s > cut)) if s.size and s[0] > 0 else 0
-    return Subspace(a.shape[0], u[:, :k])
+    return Subspace(a.shape[0], u[:, :_rank(s, tol)])
 
 
 def psd_order_leq(a, b, tol: Tolerances = DEFAULT_TOL) -> bool:

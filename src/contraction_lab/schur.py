@@ -28,7 +28,13 @@ from .linalg import (
     compress,
     op_norm,
 )
-from .segments import circle_max_norm, radius_search
+from .segments import (
+    circle_max_norm,
+    poly_norms,
+    poly_value,
+    radius_search,
+    unit_circle,
+)
 from .shmulyan import (
     NotPartialIsometryError,
     partial_isometry_part,
@@ -79,44 +85,12 @@ class SchurPoly:
         return len(self.coeffs) - 1
 
     def eval_at(self, lam: complex) -> np.ndarray:
-        acc = np.zeros(self.shape, dtype=complex)
-        z = 1.0 + 0.0j
-        for c in self.coeffs:
-            acc = acc + z * c
-            z *= lam
-        return acc
+        return poly_value(self.coeffs, lam)
 
     def is_schur_class(self, tol: Tolerances = DEFAULT_TOL) -> bool:
         """Grid values stay inside the ball (maximum principle)."""
-        return _grid_max(self.coeffs, tol.grid_points) <= 1.0 + tol.contraction_slack
-
-
-def _boundary_values(coeffs, samples: int) -> np.ndarray:
-    theta = 2.0 * np.pi * np.arange(samples) / samples
-    lam = np.exp(1j * theta)
-    d0 = coeffs[0]
-    stack = np.broadcast_to(d0, (samples,) + d0.shape).astype(complex).copy()
-    z = lam.copy()
-    for c in coeffs[1:]:
-        stack += z[:, None, None] * c[None, :, :]
-        z = z * lam
-    return np.linalg.svd(stack, compute_uv=False)[:, 0]
-
-
-def _grid_max(coeffs, samples: int) -> float:
-    if coeffs[0].size == 0:
-        return 0.0
-    return float(_boundary_values(coeffs, samples).max())
-
-
-def _norm_at_angle(coeffs, theta: float) -> float:
-    lam = complex(math.cos(theta), math.sin(theta))
-    acc = np.zeros(coeffs[0].shape, dtype=complex)
-    z = 1.0 + 0.0j
-    for c in coeffs:
-        acc = acc + z * c
-        z *= lam
-    return op_norm(acc)
+        _, lam = unit_circle(tol.grid_points)
+        return float(poly_norms(self.coeffs, lam).max()) <= 1.0 + tol.contraction_slack
 
 
 def _certified_sup(coeffs, tol: Tolerances):
@@ -141,8 +115,9 @@ def _certified_sup(coeffs, tol: Tolerances):
     samples = tol.grid_points
     lip = sum(k * op_norm(c) for k, c in enumerate(coeffs))
     lip2 = sum(k * k * op_norm(c) for k, c in enumerate(coeffs))
-    theta = list(2.0 * np.pi * np.arange(samples) / samples) + [2.0 * np.pi]
-    vals = list(_boundary_values(coeffs, samples))
+    theta, lam = unit_circle(samples)
+    theta = list(theta) + [2.0 * np.pi]
+    vals = list(poly_norms(coeffs, lam))
     vals.append(vals[0])
 
     def arc(index, lo, hi, vlo, vhi):
@@ -159,7 +134,7 @@ def _certified_sup(coeffs, tol: Tolerances):
         if -neg_bound - best_val <= SUP_GAP * max(1.0, best_val):
             break
         mid = 0.5 * (lo + hi)
-        vmid = _norm_at_angle(coeffs, mid)
+        vmid = op_norm(poly_value(coeffs, complex(math.cos(mid), math.sin(mid))))
         best_val = max(best_val, vmid)
         index = samples + 2 * split
         heapq.heapreplace(arcs, arc(index, lo, mid, vlo, vmid))

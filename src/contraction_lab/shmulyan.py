@@ -40,7 +40,9 @@ from .linalg import (
     psd_sqrt,
     range_of,
 )
-from .segments import circle_max_norm, radius_search
+# circle_max_norm is unused here; perfbench/spans.py checks that this binding
+# resolves to its traced wrapper, so it stays
+from .segments import RADIUS_FLOOR, circle_max_norm, radius_search  # noqa: F401
 
 __all__ = [
     "ColumnCriterion",
@@ -64,7 +66,6 @@ __all__ = [
 # unit ball so an absolute scale of 1e-8 matches the block identities used
 # elsewhere.
 ROUTE_RTOL = 1e-8
-RADIUS_FLOOR = 1e-6
 
 
 class NotPartialIsometryError(ValueError):
@@ -133,10 +134,10 @@ def shmulyan_dominates(b: Contraction, a: Contraction,
     y, res_y = _two_sided_solve(dd.d_t, gram, dd.d_t, tol)
     feasible_gram = res_y <= bound_y
 
-    probe = circle_max_norm(a.mat, diff, RADIUS_FLOOR, 128)
-    feasible_segment = probe <= 1.0 + tol.contraction_slack
-    radius = radius_search(a.mat, diff, tol.contraction_slack,
-                           samples=128, r_floor=RADIUS_FLOOR)
+    # radius_search starts with the circle |eps| = RADIUS_FLOOR and returns 0
+    # exactly when that circle leaves the ball
+    radius = radius_search(a.mat, diff, tol.contraction_slack, samples=128)
+    feasible_segment = radius > 0.0
 
     witness = None
     if not feasible_factor and diff.size:
@@ -147,7 +148,7 @@ def shmulyan_dominates(b: Contraction, a: Contraction,
     for res, bnd in ((res_x, bound), (res_y, bound_y)):
         if bnd / 10.0 <= res <= 10.0 * bnd:
             marginal = True
-    if radius is not None and 0.0 < radius <= 10.0 * RADIUS_FLOOR:
+    if 0.0 < radius <= 10.0 * RADIUS_FLOOR:
         marginal = True
 
     return ShmulyanVerdict(

@@ -11,7 +11,7 @@ command line.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -224,11 +224,7 @@ def run_partial_isometry_parts(cases: int = 200, seed: int = 104,
     failures = []
     # rejections certify by a kernel escape at level one; the accepted
     # direction whose trace crawls gains nothing from deep levels
-    fast = Tolerances(rank_rtol=tol.rank_rtol, psd_atol=tol.psd_atol,
-                      conv_tol=tol.conv_tol,
-                      contraction_slack=tol.contraction_slack,
-                      big_ratio=tol.big_ratio, max_level=16,
-                      grid_points=tol.grid_points)
+    fast = replace(tol, max_level=16)
     for i in range(cases):
         d = int(rng.integers(2, 7))
         rank = int(rng.integers(1, d))

@@ -16,6 +16,7 @@ from contraction_lab import (
     reducing_unitary_part,
 )
 from contraction_lab import asymptotics
+from contraction_lab.asymptotics import ClassFlags, stability_flags
 from contraction_lab.corpus import GenSpec, generate
 from contraction_lab.linalg import DEFAULT_TOL, Subspace, op_norm
 
@@ -240,9 +241,9 @@ class TestMemoization:
     def test_shared_limit_is_read_only(self):
         data = asymptotic_limit(make_contraction(np.diag([1.0, 0.5])))
         assert data.null_s.dim == 1 and data.fix_s.dim == 1
-        for a in (data.s_t, data.null_s.basis, data.fix_s.basis):
+        for a in (data.s_t, data.eigenvalues, data.null_s.basis, data.fix_s.basis):
             with pytest.raises(ValueError):
-                a[0, 0] = 7.0
+                a[0] = 7.0
 
     def test_analyze_computes_each_limit_once(self, monkeypatch):
         computed = []
@@ -267,3 +268,44 @@ class TestMemoization:
         assert count(c.mat.conj().T) == 1
         # the rest are the q and w blocks of the triangulation
         assert len(computed) == 4
+
+    def test_class_of_reads_cached_spectrum(self, monkeypatch):
+        c = generate(GenSpec(6, "direct_sum_U_plus_Q", 2, {"unitary_dim": 2}))
+        asymptotic_limit(c)
+        asymptotic_limit(c.adjoint())
+        calls = []
+
+        def refuse(name):
+            def call(*args, **kwargs):
+                calls.append(name)
+                raise AssertionError(f"{name} after the limits were cached")
+            return call
+
+        for name in ("eigvalsh", "eigh"):
+            monkeypatch.setattr(np.linalg, name, refuse(name))
+        assert class_of(c) == "mixed"
+        assert calls == []
+
+
+def eigvalsh_flags(c):
+    """Reference: the flags from a separate eigvalsh of each cached limit."""
+    counts = []
+    for lim in (asymptotic_limit(c), asymptotic_limit(c.adjoint())):
+        w = np.linalg.eigvalsh(lim.s_t)
+        cut = DEFAULT_TOL.rank_rtol * max(1.0, float(w[-1]))
+        zero = int(np.sum(w <= cut))
+        counts.append((zero, w.size - zero,
+                       int(np.sum((w > cut) & (w <= 10.0 * cut)))))
+    (z, p, f), (zs, ps, fs) = counts
+    return ClassFlags(stable=p == 0, injective=z == 0, star_stable=ps == 0,
+                      star_injective=zs == 0, indeterminate=bool(f or fs))
+
+
+class TestStabilityFlags:
+    @pytest.mark.parametrize("kind", sorted(ANALYZE_KINDS))
+    @pytest.mark.parametrize("d", [2, 4, 8])
+    def test_match_separate_eigvalsh(self, kind, d):
+        make_spec, _ = ANALYZE_KINDS[kind]
+        for seed in range(4):
+            c = generate(make_spec(d, seed, 1 + seed % (d - 1)))
+            assert stability_flags(c) == eigvalsh_flags(c)

@@ -1,5 +1,6 @@
 """Command-line interface: schemas, exit codes, reproducibility."""
 
+import dataclasses
 import io
 import json
 import sys
@@ -9,7 +10,7 @@ import pytest
 
 from contraction_lab.cli import main
 from contraction_lab.corpus import GenSpec, generate
-from contraction_lab.linalg import matrix_from_json, matrix_to_json
+from contraction_lab.linalg import DEFAULT_TOL, Tolerances, matrix_from_json, matrix_to_json
 
 
 def write_matrix(path, mat):
@@ -81,6 +82,17 @@ class TestAnalyze:
         code, report = run_cli(["--max-level", "32", "analyze", files["zero2"]])
         assert code == 0
         assert report["tolerances"]["max_level"] == 32
+
+    def test_every_tolerance_has_a_flag(self, files):
+        argv = []
+        wanted = {}
+        for f in dataclasses.fields(Tolerances):
+            default = getattr(DEFAULT_TOL, f.name)
+            wanted[f.name] = default * 2 if isinstance(default, int) else default / 2
+            argv += ["--" + f.name.replace("_", "-"), str(wanted[f.name])]
+        code, report = run_cli(argv + ["analyze", files["zero2"]])
+        assert code == 0
+        assert report["tolerances"] == wanted
 
     def test_u_plus_q_at_d32(self, tmp_path):
         t = generate(GenSpec(dim=32, kind="direct_sum_U_plus_Q", seed=4,

@@ -20,7 +20,6 @@ from contraction_lab.linalg import (
     psd_order_leq,
     psd_sqrt,
     range_of,
-    subspace_from_columns,
 )
 
 from conftest import psd_matrices, rectangular_matrices, rng_matrix
@@ -172,18 +171,18 @@ class TestDouglas:
 
 class TestSubspace:
     def test_complement_dims(self):
-        s = subspace_from_columns(rng_matrix(11, 4, 2))
+        s = range_of(rng_matrix(11, 4, 2))
         c = s.complement()
         assert s.dim + c.dim == 4
         assert op_norm(s.basis.conj().T @ c.basis) < 1e-10
 
     def test_containment_and_equality(self):
         cols = rng_matrix(12, 4, 3)
-        big = subspace_from_columns(cols)
-        small = subspace_from_columns(cols[:, :1])
+        big = range_of(cols)
+        small = range_of(cols[:, :1])
         assert big.contains(small)
         assert not small.contains(big)
-        rotated = subspace_from_columns(cols @ rng_matrix(13, 3, 3))
+        rotated = range_of(cols @ rng_matrix(13, 3, 3))
         assert big.equals(rotated)
 
     def test_intersection(self):

@@ -23,6 +23,7 @@ from contraction_lab import (
 from contraction_lab import schur
 from contraction_lab.corpus import GenSpec, generate, random_unitary
 from contraction_lab.linalg import DEFAULT_TOL, op_norm
+from contraction_lab.segments import circle_max_norm, poly_norms, poly_value, unit_circle
 
 from conftest import rng_matrix, scaled_contraction
 
@@ -102,7 +103,7 @@ def linear_scan_sup(coeffs, tol):
     lip = sum(k * op_norm(c) for k, c in enumerate(coeffs))
     lip2 = sum(k * k * op_norm(c) for k, c in enumerate(coeffs))
     theta = list(2.0 * np.pi * np.arange(samples) / samples) + [2.0 * np.pi]
-    vals = list(schur._boundary_values(coeffs, samples))
+    vals = list(poly_norms(coeffs, unit_circle(samples)[1]))
     vals.append(vals[0])
     arcs = [(theta[i], theta[i + 1], vals[i], vals[i + 1]) for i in range(samples)]
 
@@ -119,12 +120,41 @@ def linear_scan_sup(coeffs, tol):
         arcs.remove(top)
         lo, hi, vlo, vhi = top
         mid = 0.5 * (lo + hi)
-        vmid = schur._norm_at_angle(coeffs, mid)
+        vmid = op_norm(poly_value(coeffs, complex(math.cos(mid), math.sin(mid))))
         best_val = max(best_val, vmid)
         arcs.append((lo, mid, vlo, vmid))
         arcs.append((mid, hi, vmid, vhi))
     certified = max(bound(a) for a in arcs)
     return float(certified), "grid"
+
+
+class TestCircleEvaluators:
+    """The shared evaluators in `segments` against the einsum reference."""
+
+    @pytest.mark.parametrize("seed, rows, cols, degree",
+                             [(0, 1, 1, 1), (1, 2, 2, 3), (2, 3, 2, 2), (3, 4, 4, 4)])
+    def test_batched_matches_reference(self, seed, rows, cols, degree):
+        coeffs = rand_coeffs(seed, rows, cols, degree)
+        got = poly_norms(coeffs, unit_circle(256)[1])
+        assert np.allclose(got, circle_samples(coeffs, 256), rtol=1e-13, atol=1e-15)
+
+    def test_batched_empty_is_zero(self):
+        coeffs = (np.zeros((0, 3)), np.zeros((0, 3)))
+        assert np.array_equal(poly_norms(coeffs, unit_circle(16)[1]), np.zeros(16))
+
+    @pytest.mark.parametrize("lam", [0.0, 0.7 - 0.2j, 1.5j])
+    def test_single_point_matches_power_sum(self, lam):
+        coeffs = rand_coeffs(5, 2, 3, 3)
+        expected = sum(c * lam ** k for k, c in enumerate(coeffs))
+        assert np.allclose(poly_value(coeffs, lam), expected, rtol=1e-13, atol=1e-15)
+
+    @pytest.mark.parametrize("r", [0.3, 2.5])
+    def test_circle_max_norm_off_the_unit_circle(self, r):
+        center, direction = rand_coeffs(6, 3, 3, 1)
+        # |eps| = r for center + eps * direction is |lam| = 1 for center + lam r direction
+        expected = circle_samples([center, r * direction], 128).max()
+        assert circle_max_norm(center, direction, r, 128) == pytest.approx(expected, rel=1e-13)
+        assert circle_max_norm(np.zeros((0, 2)), np.zeros((0, 2)), r, 128) == 0.0
 
 
 ORACLE_POLYS = [(seed, rows, cols, degree)
@@ -145,7 +175,7 @@ class TestHeapMatchesLinearScan:
     def test_flat_arc_bounds_tie(self):
         tol = DEFAULT_TOL
         theta = 2.0 * np.pi * np.arange(tol.grid_points + 1) / tol.grid_points
-        ends = schur._boundary_values(FLAT_ARC, tol.grid_points)
+        ends = poly_norms(FLAT_ARC, unit_circle(tol.grid_points)[1])
         h = np.diff(theta)
         # L = L2 = 0.5, so the grid-arc bounds are ends + min(0.25 h, 0.0625 h^2)
         bounds = np.maximum(ends, np.roll(ends, -1)) + np.minimum(0.25 * h, 0.0625 * h * h)
