@@ -177,11 +177,12 @@ def toeplitz_truncate(f: SchurPoly, n: int) -> np.ndarray:
 
 def segment_radius(a: Contraction, b: Contraction,
                    tol: Tolerances = DEFAULT_TOL) -> float:
-    """Largest r with ||(1-eps)a + eps b|| <= 1 for all sampled |eps| = r.
+    """Largest r with ||(1-eps)a + eps b|| <= 1 + slack at sampled |eps| = r.
 
     Positive exactly when b is Shmul'yan dominated by a; math.inf for
-    (essentially) constant segments.  The returned radius is re-verified
-    on the full sampling grid.
+    (essentially) constant segments.  The radius is shrunk until the
+    tol.grid_points samples of its circle stay in the ball; it is a
+    sampled estimate, not a proven radius.
     """
     if a.shape != b.shape:
         raise ShapeMismatchError(f"shape mismatch {a.shape} vs {b.shape}")

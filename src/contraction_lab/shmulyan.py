@@ -89,7 +89,10 @@ class ShmulyanVerdict:
     y_solution       Y with I - b*a = D_a Y D_a
     route_agreement  per-route booleans; disagreement is a test failure
     witness          unit vector certifying infeasibility, when not dominated
-    radius           largest verified segment radius around a toward b
+    radius           largest radius r whose sampled circle a + eps (b - a),
+                     |eps| = r, stays within 1 + contraction_slack (128
+                     samples; an estimate, not a proven radius: the circle
+                     can leave the ball between samples)
     residuals        per-route residual norms
     marginal         some decision fell within a decade of its threshold
     """

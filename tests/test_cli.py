@@ -3,7 +3,10 @@
 import dataclasses
 import io
 import json
+import os
+import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -208,3 +211,16 @@ class TestErrorsAndReproducibility:
         assert run_raw(argv) == run_raw(argv)
         argv = ["gen", "--kind", "generic", "--dim", "4", "--seed", "9"]
         assert run_raw(argv) == run_raw(argv)
+
+    def test_demo_stdout_is_reproducible(self):
+        root = Path(__file__).resolve().parents[1]
+        env = {**os.environ, "PYTHONPATH": str(root / "src")}
+
+        def demo():
+            proc = subprocess.run([sys.executable, str(root / "scripts" / "demo.py")],
+                                  capture_output=True, text=True, env=env, check=True)
+            return proc.stdout
+
+        first = demo()
+        assert "$ contraction-lab analyze mix.json" in first
+        assert first == demo()
