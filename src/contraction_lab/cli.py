@@ -186,6 +186,7 @@ def _cmd_dominate(args, tol) -> int:
         "constants": verdict.constants,
         "levels": verdict.levels,
         "constant_estimate": verdict.constant_estimate,
+        "method": verdict.method,
         "witness": None if verdict.witness is None else
         {"re": [float(x) for x in verdict.witness.real],
          "im": [float(x) for x in verdict.witness.imag]},

@@ -1,12 +1,19 @@
-"""Harnack domination via the dilation Gram hierarchy.
+"""Harnack domination via the dilation Gram hierarchy and its symbol.
 
 A contraction t' is Harnack dominated by t with constant c^2 exactly when
 <G_{t'} x, x> <= c^2 <G_t x, x> holds at every level of the nested block
 Gram matrices G (block (m, n) = T^(n-m) for n >= m, adjoint below), the
 Gram matrices of the minimal isometric dilation vectors.  Finite levels
 certify failure exactly (a kernel vector of G_t escaping the kernel of
-G_{t'}) and certify success heuristically (a converged constant trace);
-the verdict is honestly tri-state.
+G_{t'}).  The Gram matrices are sections of a block Toeplitz operator,
+which is PSD exactly when its symbol is; when both spectral radii are
+below 1 the symbol is continuous and decides success on the circle: t
+dominates t' when D_{t'} (I - z t')^{-1} (I - z t) vanishes on ker D_t
+at more than d + 1 angles, and the reported constant is a sampled maximum,
+a lower bound of c^2, not a certified upper bound.  Pairs with an
+eigenvalue on the unit circle keep the hierarchy, where Dominated rests on
+a converged or extrapolated constant trace, an estimate rather than a
+proof.  The verdict is honestly tri-state.
 
 Direction convention, used consistently across this module:
 ``harnack_dominates(a, b)`` asks whether **a dominates b**, and
@@ -28,10 +35,12 @@ from .linalg import (
     DouglasInfeasibleError,
     ShapeMismatchError,
     Tolerances,
+    _psd_eigh,
     douglas_solve,
     herm,
     op_norm,
 )
+from .segments import unit_circle
 
 __all__ = [
     "DOMINATED",
@@ -70,6 +79,16 @@ PLATEAU_RTOL = 1e-3
 # growth disagrees by ~15%, even logarithmic growth by ~3%.
 EXTRAPOLATION_RTOL = 2e-2
 
+# Points of the uniform theta grid of the symbol sweep.  The leak is a
+# rational function whose numerator has degree at most d, so the symbol
+# route serves d + 1 < SYMBOL_GRID; a finer grid costs more than it finds,
+# because the eigen-angles and the refinement place the maximum.
+SYMBOL_GRID = 128
+
+# Golden-section steps around each of the two best sweep points; each
+# step shrinks the bracket (two grid spacings wide) by 0.618.
+SYMBOL_REFINE_STEPS = 24
+
 
 class NecessaryConditionFailsError(ValueError):
     """The pair disagrees on the kernel of the dominator's defect."""
@@ -95,15 +114,17 @@ def _powers(mat: np.ndarray, upto: int, cache: list):
 
 
 def _gram(powers: list, level: int, d: int) -> np.ndarray:
+    """Block Toeplitz matrix with block (m, n) = T^(n-m), adjoints below.
+
+    One gather from the stack [T*^level, ..., T*, I, T, ..., T^level]:
+    block (m, n) is entry n - m + level.
+    """
+    blocks = np.stack(powers[:level + 1])
+    stack = np.concatenate([blocks[:0:-1].conj().transpose(0, 2, 1), blocks])
+    idx = np.arange(level + 1)
+    g = stack[idx[None, :] - idx[:, None] + level]
     n = (level + 1) * d
-    g = np.zeros((n, n), dtype=complex)
-    for m in range(level + 1):
-        for k in range(m, level + 1):
-            blk = powers[k - m]
-            g[m * d:(m + 1) * d, k * d:(k + 1) * d] = blk
-            if k != m:
-                g[k * d:(k + 1) * d, m * d:(m + 1) * d] = blk.conj().T
-    return g
+    return g.transpose(0, 2, 1, 3).reshape(n, n)
 
 
 def harnack_kernel(t: Contraction, level: int,
@@ -132,13 +153,18 @@ def _level_schedule(max_level: int) -> list:
 
 @dataclass(frozen=True)
 class HarnackVerdict:
-    """Tri-state outcome of the Gram hierarchy.
+    """Tri-state outcome of the Harnack order, with the route that decided it.
 
     constants          level constants c_N^2 (nondecreasing by nesting)
     levels             the levels at which they were evaluated
     witness            kernel-escape certificate when not dominated
-    constant_estimate  extrapolated limit of the trace, when converged
+    constant_estimate  the constant when dominated: on the symbol route the
+                       largest sampled max_theta ||G(theta) D_a^+||^2, a
+                       lower bound of c^2 that is never below the last level
+                       constant; on the hierarchy route an extrapolated
+                       limit of the level trace
     kernel_floor       most negative normalized Gram eigenvalue seen
+    method             "kernel-escape", "symbol" or "hierarchy"
     """
 
     status: str
@@ -148,6 +174,7 @@ class HarnackVerdict:
     levels_used: int
     kernel_floor: float
     constant_estimate: Optional[float] = None
+    method: str = "hierarchy"
 
     @property
     def dominated(self) -> bool:
@@ -195,17 +222,104 @@ def _extrapolate(levels: list, constants: list) -> Optional[float]:
     return None
 
 
+def _symbol_sweep(a: Contraction, b: Contraction, tol: Tolerances):
+    """Leak and constant of G(theta) = D_b (I - z b)^{-1} (I - z a), z = e^{-i theta}.
+
+    Returns None unless both spectral radii are below 1, where the symbol
+    is a continuous function.  An eigenvalue with 1 - |lambda|^2 <=
+    psd_atol has an eigenvector that the psd_sqrt clamp puts in the kernel
+    of the defect: it counts as on the circle, where the symbol is a
+    measure and the hierarchy decides.  Otherwise returns (leak, c2): the
+    sweep points are the uniform grid plus the eigen-angles of a and b,
+    leak = max ||G K|| over them, K = ker D_a, and c2 = max ||G D_a^+||^2
+    over them and a golden-section search around the two best of them.
+    G K is a rational function whose numerator D_b adj(I - z b)(I - z a) K
+    has degree at most d in z, so it vanishes identically when it vanishes
+    on the SYMBOL_GRID > d + 1 grid points.  Level 1 escapes exactly when
+    b differs from a on K; otherwise (I - z a) K = (I - z b) K and
+    G K = D_b K = 0, so after level 1 the leak is a check on rounding.
+    Norms are unitarily invariant,
+    so D_b enters as diag(sqrt w_b) V_b* and D_a^+ as its range part
+    V_r diag(1/sqrt w_r), each from one clamped eigendecomposition.
+    """
+    d = a.dim
+    spectra = np.concatenate([np.linalg.eigvals(a.mat), np.linalg.eigvals(b.mat)])
+    if d + 1 >= SYMBOL_GRID or 1.0 - float(np.max(np.abs(spectra))) ** 2 <= tol.psd_atol:
+        return None
+    eye = np.eye(d, dtype=complex)
+    wa, va = _psd_eigh(eye - a.mat.conj().T @ a.mat, tol)
+    wb, vb = _psd_eigh(eye - b.mat.conj().T @ b.mat, tol)
+    kernel = wa == 0.0
+    pinv_cols = va[:, ~kernel] / np.sqrt(wa[~kernel])
+    left = np.sqrt(wb)[:, None] * vb.conj().T
+
+    def symbol(theta, cols):
+        """G(theta) @ cols for every angle, stacked."""
+        z = np.exp(-1j * theta)[:, None, None]
+        return left @ np.linalg.solve(eye - z * b.mat, cols - z * (a.mat @ cols))
+
+    def top_sv(stack):
+        return np.linalg.svd(stack, compute_uv=False)[:, 0]
+
+    grid, _ = unit_circle(SYMBOL_GRID)
+    theta = np.concatenate([grid, np.mod(np.angle(spectra), 2.0 * np.pi)])
+    g = symbol(theta, np.concatenate([pinv_cols, va[:, kernel]], axis=1))
+    rank = pinv_cols.shape[1]  # >= 1: below the gate a is no isometry
+    c2 = top_sv(g[:, :, :rank]) ** 2
+    leak = float(top_sv(g[:, :, rank:]).max()) if rank < d else 0.0
+
+    def value(x):
+        return top_sv(symbol(x, pinv_cols)) ** 2
+
+    best = float(c2.max())
+    # golden-section search on [t - h, t + h] around the two best points
+    h = 2.0 * np.pi / SYMBOL_GRID
+    lo = theta[np.argsort(c2)[-2:]] - h
+    hi = lo + 2.0 * h
+    ratio = 0.5 * (math.sqrt(5.0) - 1.0)
+    x1, x2 = hi - ratio * (hi - lo), lo + ratio * (hi - lo)
+    f1, f2 = value(x1), value(x2)
+    for _ in range(SYMBOL_REFINE_STEPS):
+        best = max(best, float(f1.max()), float(f2.max()))
+        right = f1 < f2  # the maximum lies in [x1, hi]
+        lo, hi = np.where(right, x1, lo), np.where(right, hi, x2)
+        x1, x2 = np.where(right, x2, hi - ratio * (hi - lo)), \
+            np.where(right, lo + ratio * (hi - lo), x1)
+        fnew = value(np.where(right, x2, x1))
+        f1, f2 = np.where(right, f2, fnew), np.where(right, fnew, f1)
+    best = max(best, float(f1.max()), float(f2.max()))
+    return leak, best
+
+
+def _no_leak(leak: float, c2: float, tol: Tolerances) -> bool:
+    """G vanishes on ker D_a up to the clamp scale of D_a.
+
+    A kernel vector x of D_a has ||D_a x|| <= sqrt(psd_atol), so on a
+    dominated pair ||G x|| is at most sqrt(psd_atol) times sup ||G D_a^+||.
+    """
+    return leak <= math.sqrt(tol.psd_atol) * math.sqrt(max(c2, 1.0))
+
+
 def harnack_dominates(a: Contraction, b: Contraction,
                       tol: Tolerances = DEFAULT_TOL,
                       full_trace: bool = False) -> HarnackVerdict:
     """Decide whether a Harnack-dominates b (Re p(b) <= c^2 Re p(a)).
 
-    Per level: whiten by the pseudoinverse square root of G_a and take the
-    top eigenvalue of the whitened G_b as c_N^2; a kernel vector of G_a
-    with Rayleigh ratio beyond big_ratio certifies NotDominated exactly.
-    Converged constants give Dominated; exhausting max_level without
-    either is Inconclusive.  ``full_trace`` suppresses the early exit so
-    the constant trace reaches max_level before the verdict is taken.
+    Level 1 of the hierarchy runs first: whiten by the pseudoinverse
+    square root of G_a and take the top eigenvalue of the whitened G_b as
+    c_N^2; a kernel vector of G_a with Rayleigh ratio beyond big_ratio
+    certifies NotDominated exactly (method "kernel-escape").  When both
+    spectral radii are below 1 the symbol decides next: the Gram
+    hierarchy is a family of sections of the block Toeplitz operator with
+    symbol P_T = (I - zT)^{-*} D_T^2 (I - zT)^{-1}, and a block Toeplitz
+    operator is PSD exactly when its symbol is (Boettcher-Silbermann), so
+    a dominates b exactly when G(theta) vanishes on ker D_a (see
+    _symbol_sweep), with c^2 = sup ||G D_a^+||^2 (method "symbol").  All
+    other pairs, and pairs whose symbol leaks, climb the hierarchy:
+    converged constants give Dominated (never after a leak), exhausting
+    max_level without either is Inconclusive (method "hierarchy").
+    ``full_trace`` suppresses the early exits so the constant trace
+    reaches max_level; the symbol still decides the status.
     """
     if a.shape != b.shape:
         raise ShapeMismatchError(f"shape mismatch {a.shape} vs {b.shape}")
@@ -220,6 +334,12 @@ def harnack_dominates(a: Contraction, b: Contraction,
     constants: list = []
     levels: list = []
     kernel_floor = 0.0
+    symbol = None      # (leak, c2) of the sweep, when both radii are below 1
+    symbol_c2 = None   # its constant, when G vanishes on ker D_a
+
+    def verdict(status, **kw):
+        return HarnackVerdict(status=status, constants=constants, levels=levels,
+                              kernel_floor=kernel_floor, **kw)
 
     for level in _level_schedule(tol.max_level):
         _powers(a.mat, level, pow_a)
@@ -244,14 +364,8 @@ def harnack_dominates(a: Contraction, b: Contraction,
             cand = kernel_vecs @ ev[:, -1]
             ra = float(np.real(cand.conj() @ (ga @ cand)))
             if rb > tol.big_ratio * max(ra, 0.0) and rb > 1e-12 * max(1.0, wb_max):
-                return HarnackVerdict(
-                    status=NOT_DOMINATED,
-                    constants=constants,
-                    levels=levels,
-                    witness=cand / np.linalg.norm(cand),
-                    levels_used=level,
-                    kernel_floor=kernel_floor,
-                )
+                return verdict(NOT_DOMINATED, witness=cand / np.linalg.norm(cand),
+                               levels_used=level, method="kernel-escape")
 
         inv_sqrt = np.where(keep, 1.0 / np.sqrt(np.maximum(wa, 1e-300)), 0.0)
         whiten = va * inv_sqrt
@@ -260,28 +374,27 @@ def harnack_dominates(a: Contraction, b: Contraction,
         constants.append(c2)
         levels.append(level)
 
-        estimate = _extrapolate(levels, constants)
-        if estimate is not None and not full_trace:
-            return HarnackVerdict(
-                status=DOMINATED,
-                constants=constants,
-                levels=levels,
-                witness=None,
-                levels_used=level,
-                kernel_floor=kernel_floor,
-                constant_estimate=estimate,
-            )
+        if level == 1:
+            symbol = _symbol_sweep(a, b, tol)
+            if symbol is not None and _no_leak(*symbol, tol):
+                symbol_c2 = symbol[1]
+        if symbol_c2 is not None and not full_trace:
+            return verdict(DOMINATED, witness=None, levels_used=level,
+                           constant_estimate=max(symbol_c2, c2), method="symbol")
 
-    estimate = _extrapolate(levels, constants)
-    return HarnackVerdict(
-        status=DOMINATED if estimate is not None else INCONCLUSIVE,
-        constants=constants,
-        levels=levels,
-        witness=None,
-        levels_used=levels[-1] if levels else 0,
-        kernel_floor=kernel_floor,
-        constant_estimate=estimate,
-    )
+        estimate = _extrapolate(levels, constants)
+        if estimate is not None and symbol is None and not full_trace:
+            return verdict(DOMINATED, witness=None, levels_used=level,
+                           constant_estimate=estimate)
+
+    if symbol_c2 is not None:
+        return verdict(DOMINATED, witness=None, levels_used=levels[-1],
+                       constant_estimate=max(symbol_c2, constants[-1]),
+                       method="symbol")
+    estimate = None if symbol is not None else _extrapolate(levels, constants)
+    return verdict(DOMINATED if estimate is not None else INCONCLUSIVE,
+                   witness=None, levels_used=levels[-1] if levels else 0,
+                   constant_estimate=estimate)
 
 
 @dataclass(frozen=True)

@@ -189,11 +189,21 @@ def psd_sqrt(m, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
     _check_hermitian(a, tol, "psd_sqrt input")
     if a.size == 0:
         return a.copy()
+    w, v = _psd_eigh(a, tol)
+    return (v * np.sqrt(np.maximum(w, 0.0))) @ v.conj().T
+
+
+def _psd_eigh(a: np.ndarray, tol: Tolerances):
+    """Eigenpairs (w, v) of a nonempty PSD matrix with the psd_sqrt clamp.
+
+    Eigenvalues within ``psd_atol`` of zero come back as exactly 0.0, so
+    ``v[:, w == 0.0]`` is the kernel that :func:`psd_sqrt` gives its root;
+    anything below ``-psd_atol`` raises :class:`NotPSDError`.
+    """
     w, v = np.linalg.eigh(herm(a))
     if w[0] < -tol.psd_atol:
         raise NotPSDError(f"eigenvalue {w[0]:.3e} below -psd_atol")
-    w = np.where(np.abs(w) <= tol.psd_atol, 0.0, w)
-    return (v * np.sqrt(np.maximum(w, 0.0))) @ v.conj().T
+    return np.where(np.abs(w) <= tol.psd_atol, 0.0, w), v
 
 
 def _svd(m: np.ndarray):

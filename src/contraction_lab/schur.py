@@ -105,8 +105,9 @@ def _certified_sup(coeffs, tol: Tolerances):
     oldest arc, the arc a linear scan for the first maximum of an
     insertion-ordered list picks: the bounds are the same floats, found at
     O(log n) per split.  Refinement stops when the top bound is within
-    SUP_GAP of the best observed value (or after SPLIT_BUDGET splits,
-    leaving a slightly larger but still valid bound).
+    SUP_GAP of the best observed value, method "grid", or after
+    SPLIT_BUDGET splits, leaving a slightly larger but still valid bound,
+    method "grid-budget".
     """
     if coeffs[0].size == 0:
         return 0.0, "exact-diagonal"
@@ -139,7 +140,9 @@ def _certified_sup(coeffs, tol: Tolerances):
         index = samples + 2 * split
         heapq.heapreplace(arcs, arc(index, lo, mid, vlo, vmid))
         heapq.heappush(arcs, arc(index + 1, mid, hi, vmid, vhi))
-    return float(-arcs[0][0]), "grid"
+    bound = float(-arcs[0][0])
+    closed = bound - best_val <= SUP_GAP * max(1.0, best_val)
+    return bound, "grid" if closed else "grid-budget"
 
 
 def schur_poly(coeffs, tol: Tolerances = DEFAULT_TOL) -> SchurPoly:

@@ -53,12 +53,15 @@ class TestDominate:
         assert code == 1
         assert report["verdict"]["status"] == "NotDominated"
         assert report["verdict"]["witness"] is not None
+        assert report["verdict"]["method"] == "kernel-escape"
 
     def test_harnack_strict_pair(self, files):
         code, report = run_cli(["dominate", "--order", "harnack",
                                 files["half"], files["zero"]])
         assert code == 0
         assert report["verdict"]["status"] == "Dominated"
+        assert report["verdict"]["method"] == "symbol"
+        assert report["verdict"]["constant_estimate"] == pytest.approx(3.0, rel=1e-9)
 
     def test_shmulyan_part_pair(self, files):
         code, report = run_cli(["dominate", "--order", "shmulyan",

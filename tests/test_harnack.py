@@ -1,6 +1,7 @@
 """Harnack Gram hierarchy, falsifier, and intertwiner factorizations."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -22,9 +23,11 @@ from contraction_lab import (
     positive_real_sample,
     quasi_normal_equivalence_report,
 )
+from contraction_lab import harnack
 from contraction_lab.corpus import GenSpec, generate, random_unitary
 from contraction_lab.harnack import real_part_at
-from contraction_lab.linalg import op_norm
+from contraction_lab.linalg import DEFAULT_TOL, op_norm
+from contraction_lab.shmulyan import partial_isometry_part
 
 from conftest import scaled_contraction
 
@@ -33,6 +36,26 @@ J = make_contraction([[0, 1], [0, 0]])
 
 def scalar(x):
     return make_contraction([[x]])
+
+
+def loop_gram(powers, level, d):
+    """Reference: the block Toeplitz Gram matrix filled block by block."""
+    n = (level + 1) * d
+    g = np.zeros((n, n), dtype=complex)
+    for m in range(level + 1):
+        for k in range(m, level + 1):
+            blk = powers[k - m]
+            g[m * d:(m + 1) * d, k * d:(k + 1) * d] = blk
+            if k != m:
+                g[k * d:(k + 1) * d, m * d:(m + 1) * d] = blk.conj().T
+    return g
+
+
+def hierarchy_only(monkeypatch, a, b, tol=DEFAULT_TOL, full_trace=False):
+    """The verdict of the Gram hierarchy alone, with the symbol route off."""
+    with monkeypatch.context() as m:
+        m.setattr(harnack, "_symbol_sweep", lambda *args: None)
+        return harnack_dominates(a, b, tol, full_trace=full_trace)
 
 
 class TestKernel:
@@ -49,6 +72,27 @@ class TestKernel:
         small = harnack_kernel(t, 2).base
         big = harnack_kernel(t, 3).base
         assert np.allclose(big[:9, :9], small)
+
+    @pytest.mark.parametrize("dim", [1, 2, 3, 5])
+    def test_gather_matches_block_loop(self, dim):
+        t = scaled_contraction(20 + dim, dim, 0.9)
+        powers = [np.eye(dim, dtype=complex)]
+        for level in range(12):
+            harnack._powers(t.mat, level, powers)
+            k = harnack_kernel(t, level)
+            expected = loop_gram(powers, level, dim)
+            assert k.base.dtype == expected.dtype
+            assert np.array_equal(k.base, expected)
+
+    def test_full_trace_same_floats_as_block_loop(self, monkeypatch):
+        a, b = scalar(0.5), scalar(0.0)
+        got = harnack_dominates(a, b, full_trace=True)
+        monkeypatch.setattr(harnack, "_gram", loop_gram)
+        ref = harnack_dominates(a, b, full_trace=True)
+        assert got.constants == ref.constants
+        assert got.levels == ref.levels
+        assert got.kernel_floor == ref.kernel_floor
+        assert got.constant_estimate == ref.constant_estimate
 
     @settings(max_examples=25, deadline=None)
     @given(level=st.integers(0, 8), seed=st.integers(0, 10**6))
@@ -121,6 +165,135 @@ class TestDominates:
         a = scaled_contraction(10, 2, 0.4)
         b = scaled_contraction(11, 2, 0.8)
         assert harnack_equivalence(a, b).status == "equivalent"
+
+
+def normal_of_radius(seed, d, r):
+    """Normal contraction with spectral radius r, one eigenvalue of modulus r."""
+    rng = np.random.default_rng(seed)
+    moduli = np.concatenate([[r], rng.uniform(0.0, r, d - 1)])
+    u = random_unitary(rng, d)
+    lam = moduli * np.exp(2j * np.pi * rng.uniform(size=d))
+    return make_contraction(u @ np.diag(lam) @ u.conj().T)
+
+
+def part_member(w, z_norm, seed):
+    """w + Z on the defect spaces of the partial isometry w, ||Z|| = z_norm."""
+    part = partial_isometry_part(w)
+    k = part.null_in.dim
+    g = np.random.default_rng(seed).standard_normal((k, k)) + 0j
+    z = g * (z_norm / op_norm(g))
+    return make_contraction(w.mat + part.null_out.basis @ z @ part.null_in.basis.conj().T)
+
+
+def gen(kind, d, seed, **params):
+    return generate(GenSpec(d, kind, seed=seed, params=params))
+
+
+def agreement_pairs():
+    """Corpus pairs with both spectral radii below 1, d <= 6."""
+    pairs = []
+    for d in (2, 4, 6):
+        pairs.append((f"strict-strict-{d}", gen("strict", d, d), gen("strict", d, d + 1)))
+        pairs.append((f"generic-normal-{d}", gen("generic", d, d), gen("normal", d, d)))
+        pairs.append((f"normal-generic-{d}", gen("normal", d, d + 2),
+                      gen("generic", d, d + 2, norm_bound=0.6)))
+        pairs.append((f"nilpotent-strict-{d}", gen("nilpotent_shift", d, 0),
+                      gen("strict", d, d + 3, norm_bound=0.5)))
+        pairs.append((f"strict-nilpotent-{d}", gen("strict", d, d + 4),
+                      gen("nilpotent_shift", d, 0)))
+        pairs.append((f"nilpotent-zero-{d}", gen("nilpotent_shift", d, 0),
+                      make_contraction(np.zeros((d, d)))))
+    for d in (3, 5):
+        # ||Z|| = 1 members have an eigenvalue on the circle: not for the symbol
+        w = gen("partial_isometry", d, d, rank=d - 1)
+        m = part_member(w, 0.4, 10 * d)
+        pairs.append((f"w-member-{d}", w, m))
+        pairs.append((f"member-w-{d}", m, w))
+    return pairs
+
+
+class TestSymbol:
+    """The symbol route on pairs whose spectral radii are below 1."""
+
+    def test_scalar_099_is_dominated(self):
+        v = harnack_dominates(scalar(0.0), scalar(0.99))
+        assert v.status == DOMINATED
+        assert v.method == "symbol"
+        assert v.constant_estimate == pytest.approx(199.0, rel=1e-9)
+        assert v.levels == [1] and v.levels_used == 1
+
+    @pytest.mark.parametrize("d", [1, 4, 8, 16])
+    @pytest.mark.parametrize("r", [0.5, 0.8, 0.9, 0.99])
+    def test_closed_form_constant(self, d, r):
+        # 0 against a normal b splits over b's eigenvectors, each a scalar
+        # pair with constant (1 + |lambda|) / (1 - |lambda|)
+        b = normal_of_radius(int(100 * r) + d, d, r)
+        v = harnack_dominates(make_contraction(np.zeros((d, d))), b)
+        assert v.status == DOMINATED and v.method == "symbol"
+        assert v.constant_estimate == pytest.approx((1 + r) / (1 - r), rel=1e-9)
+        assert v.constants[-1] <= v.constant_estimate
+
+    def test_agrees_with_full_hierarchy(self, monkeypatch):
+        pairs = agreement_pairs()
+        decided = {DOMINATED: 0, NOT_DOMINATED: 0}
+        for label, a, b in pairs:
+            sym = harnack_dominates(a, b)
+            ref = hierarchy_only(monkeypatch, a, b, full_trace=True)
+            if ref.status == INCONCLUSIVE:
+                continue
+            decided[ref.status] += 1
+            assert sym.status == ref.status, label
+            if sym.status == DOMINATED:
+                assert sym.method == "symbol", label
+                assert sym.constant_estimate >= ref.constants[-1] * (1 - 1e-12), label
+            else:
+                assert sym.method == "kernel-escape" and sym.witness is not None, label
+        assert decided[DOMINATED] >= 15 and decided[NOT_DOMINATED] >= 4
+
+    def test_full_trace_keeps_level_64_and_symbol_status(self):
+        v = harnack_dominates(scalar(0.0), scalar(0.9), full_trace=True)
+        assert v.levels[-1] == 64 and v.levels_used == 64
+        assert v.status == DOMINATED and v.method == "symbol"
+        assert v.constant_estimate == pytest.approx(19.0, rel=1e-9)
+        assert v.constants[-1] < 19.0
+
+    @pytest.mark.parametrize("label", ["unitary", "u-plus-q", "u-plus-q-vs-strict",
+                                       "zero-vs-one"])
+    def test_unit_circle_eigenvalue_stays_on_hierarchy(self, monkeypatch, label):
+        u_q = gen("direct_sum_U_plus_Q", 4, 2, unitary_dim=2, norm_bound=0.6)
+        a, b = {
+            "unitary": (gen("unitary", 3, 1), gen("unitary", 3, 1)),
+            "u-plus-q": (u_q, u_q),
+            "u-plus-q-vs-strict": (u_q, gen("strict", 4, 3, norm_bound=0.5)),
+            "zero-vs-one": (scalar(0.0), scalar(1.0)),
+        }[label]
+        tol = replace(DEFAULT_TOL, max_level=16)
+        assert harnack._symbol_sweep(a, b, tol) is None
+        v = harnack_dominates(a, b, tol)
+        ref = hierarchy_only(monkeypatch, a, b, tol)
+        assert v.status == ref.status
+        assert v.constants == ref.constants
+        assert v.method == ("kernel-escape" if v.status == NOT_DOMINATED else "hierarchy")
+        if label != "u-plus-q-vs-strict":
+            assert v.method == "hierarchy"
+
+    def test_leak_never_dominated(self, monkeypatch):
+        # a leaking symbol forbids Dominated even where the trace converges
+        a, b = scalar(0.5), scalar(0.0)
+        assert harnack_dominates(a, b).status == DOMINATED
+        monkeypatch.setattr(harnack, "_symbol_sweep", lambda *args: (1.0, 3.0))
+        v = harnack_dominates(a, b, replace(DEFAULT_TOL, max_level=16))
+        assert v.status == INCONCLUSIVE and v.method == "hierarchy"
+        assert v.levels[-1] == 16
+
+    def test_escape_returns_before_the_sweep(self, monkeypatch):
+        def no_sweep(*args):
+            raise AssertionError("swept after a level-1 escape")
+
+        monkeypatch.setattr(harnack, "_symbol_sweep", no_sweep)
+        v = harnack_dominates(scalar(1.0), scalar(0.0))
+        assert v.status == NOT_DOMINATED and v.method == "kernel-escape"
+        assert v.levels_used == 1
 
 
 class TestPositiveRealSample:

@@ -79,6 +79,14 @@ class TestSupNorm:
         dense = circle_samples(f.coeffs, 16384).max()
         assert schur_sup_norm(f) >= dense - 1e-12
 
+    def test_spent_budget_is_labelled(self):
+        # the flat-norm arc keeps a gap after SPLIT_BUDGET splits; a
+        # converged bound keeps the plain label
+        flat = schur_poly(FLAT_ARC)
+        assert flat.method == "grid-budget"
+        assert flat.sup_norm_estimate - 1.0 > schur.SUP_GAP
+        assert schur_poly([np.array([[0.3]]), np.array([[0.4]])]).method == "grid"
+
 
 def circle_samples(coeffs, samples):
     """||F|| at `samples` equally spaced points of the unit circle."""
@@ -125,7 +133,8 @@ def linear_scan_sup(coeffs, tol):
         arcs.append((lo, mid, vlo, vmid))
         arcs.append((mid, hi, vmid, vhi))
     certified = max(bound(a) for a in arcs)
-    return float(certified), "grid"
+    closed = certified - best_val <= 1e-9 * max(1.0, best_val)
+    return float(certified), "grid" if closed else "grid-budget"
 
 
 class TestCircleEvaluators:
