@@ -233,7 +233,9 @@ def _cmd_arc(args, tol) -> int:
         report["certificate"] = {
             "arcs": [
                 {"coeffs": [matrix_to_json(c) for c in poly.coeffs],
-                 "lambda": _complex_json(lam)}
+                 "lambda": _complex_json(lam),
+                 "sup_norm": poly.sup_norm_estimate,
+                 "method": poly.method}
                 for poly, lam in cert.arcs
             ],
             "bound": cert.kobayashi_bound,

@@ -6,8 +6,10 @@ bound the Kobayashi pseudo-distance from above by summed hyperbolic hop
 lengths.  Sup-norms are certified by circle sampling plus a derivative
 (Lipschitz) error term on every grid arc.  Refinement is best-first: the
 arcs sit on a binary heap keyed by their bound, the worst arc is bisected
-next, and ties go to the oldest arc.  Every reported bound is a true
-upper bound.
+next, and ties go to the oldest arc.  Degree-1 polynomials c0 + lambda c1
+are also certified by the whitened numerical radius of ``segments``, the
+bound that sizes every hop of an arc chain, so a hop is proven by the
+same bound that chose it.  Every reported bound is a true upper bound.
 """
 
 from __future__ import annotations
@@ -28,15 +30,21 @@ from .linalg import (
     compress,
     op_norm,
 )
-from .segments import (
+# circle_max_norm, radius_search and shmulyan_equivalent are unused here;
+# perfbench/spans.py checks that these bindings resolve to their traced
+# wrappers, so they stay
+from .segments import (  # noqa: F401
+    _whitened_disc,
     circle_max_norm,
     poly_norms,
     poly_value,
+    proven_radius,
     radius_search,
     unit_circle,
 )
-from .shmulyan import (
+from .shmulyan import (  # noqa: F401
     NotPartialIsometryError,
+    _factor_dominates,
     partial_isometry_part,
     shmulyan_equivalent,
 )
@@ -59,6 +67,11 @@ __all__ = [
 
 ENDPOINT_RTOL = 1e-8
 HOP_FRACTION = 0.9
+# Each hop coefficient is (1 - HOP_MARGIN) times the proven radius, so that
+# recomputing the bound on the hop's own coefficient, with its rounding,
+# stays at or below 1 (within the slack when a leak is charged).  At most about 1.4e-6: the scalar hop 0 -> 0.5 must
+# stay within 1e-6 of atanh(0.5).
+HOP_MARGIN = 1e-6
 HOP_BUDGET = 64
 SPLIT_BUDGET = 400
 SUP_GAP = 1e-9
@@ -94,7 +107,43 @@ class SchurPoly:
 
 
 def _certified_sup(coeffs, tol: Tolerances):
-    """Certified upper bound of sup_{|lam|=1} ||F(lam)||.
+    """Certified upper bound of sup_{|lam|=1} ||F(lam)||, with its method.
+
+    The grid bound of :func:`_grid_sup`, capped on degree 1 by the bound
+    of :func:`_whitened_sup`, method "whitened" when that cap wins.
+    """
+    cap = _whitened_sup(coeffs, tol) if len(coeffs) == 2 and coeffs[0].size else math.inf
+    return _grid_sup(coeffs, tol, cap)
+
+
+def _whitened_sup(coeffs, tol: Tolerances) -> float:
+    """Bound of sup ||c0 + lam c1|| from the whitened numerical radius.
+
+    ``segments._whitened_disc`` gives omega, an overshoot and a leak with
+    ||c0 + eps c1|| <= rho(|eps|) = 1 + overshoot + 4 |eps| leak on the
+    disc |eps| <= 1/omega.  Then, with n0 = ||c0||:
+    - omega <= 1: t -> ||c0 + t e^{i theta} c1|| is convex on [0, 1/omega],
+      so at t = 1 it is at most (1 - omega) n0 + omega rho(1/omega);
+    - omega > 1: the circle of radius 1/omega is inside the rho(1/omega)
+      ball, and the triangle inequality adds (1 - 1/omega) ||c1||.
+    With a center in the ball and no leak these are n0 + (1 - n0) omega
+    and 1 + (1 - 1/omega) ||c1||.  math.inf when ||c0|| > 1 +
+    contraction_slack or there is no disc.
+    """
+    c0, c1 = coeffs
+    n0 = op_norm(c0)
+    if n0 > 1.0 + tol.contraction_slack:
+        return math.inf
+    omega, overshoot, leak = _whitened_disc(c0, c1, tol.psd_atol)
+    if math.isinf(omega):
+        return math.inf
+    if omega <= 1.0:
+        return (1.0 - omega) * n0 + omega * (1.0 + overshoot) + 4.0 * leak
+    return 1.0 + overshoot + 4.0 * leak / omega + (1.0 - 1.0 / omega) * op_norm(c1)
+
+
+def _grid_sup(coeffs, tol: Tolerances, cap: float = math.inf):
+    """Certified upper bound of sup ||F|| from the circle grid.
 
     Each grid arc carries the bound max(end values) + min(L h/2, L2 h^2/8)
     with L = sum k ||c_k|| and L2 = sum k^2 ||c_k||; the norm is a pointwise
@@ -104,10 +153,12 @@ def _certified_sup(coeffs, tol: Tolerances):
     its upper half.  So the worst arc is bisected next and ties go to the
     oldest arc, the arc a linear scan for the first maximum of an
     insertion-ordered list picks: the bounds are the same floats, found at
-    O(log n) per split.  Refinement stops when the top bound is within
-    SUP_GAP of the best observed value, method "grid", or after
+    O(log n) per split.  Refinement stops when min(top bound, cap) is
+    within SUP_GAP of the best observed value, method "grid", or after
     SPLIT_BUDGET splits, leaving a slightly larger but still valid bound,
-    method "grid-budget".
+    method "grid-budget".  ``cap`` is another proven bound: when it is below
+    the top grid bound it is returned instead, method "whitened", but never
+    below the best sampled value.
     """
     if coeffs[0].size == 0:
         return 0.0, "exact-diagonal"
@@ -126,13 +177,16 @@ def _certified_sup(coeffs, tol: Tolerances):
         bound = max(vlo, vhi) + min(0.5 * lip * h, 0.125 * lip2 * h * h)
         return (-bound, index, lo, hi, vlo, vhi)
 
+    def closed(top, best):
+        return min(top, cap) - best <= SUP_GAP * max(1.0, best)
+
     arcs = [arc(i, theta[i], theta[i + 1], vals[i], vals[i + 1])
             for i in range(samples)]
     heapq.heapify(arcs)
     best_val = max(vals)
     for split in range(SPLIT_BUDGET):
         neg_bound, _, lo, hi, vlo, vhi = arcs[0]
-        if -neg_bound - best_val <= SUP_GAP * max(1.0, best_val):
+        if closed(-neg_bound, best_val):
             break
         mid = 0.5 * (lo + hi)
         vmid = op_norm(poly_value(coeffs, complex(math.cos(mid), math.sin(mid))))
@@ -141,8 +195,9 @@ def _certified_sup(coeffs, tol: Tolerances):
         heapq.heapreplace(arcs, arc(index, lo, mid, vlo, vmid))
         heapq.heappush(arcs, arc(index + 1, mid, hi, vmid, vhi))
     bound = float(-arcs[0][0])
-    closed = bound - best_val <= SUP_GAP * max(1.0, best_val)
-    return bound, "grid" if closed else "grid-budget"
+    if cap < bound:
+        return max(cap, best_val), "whitened"
+    return bound, "grid" if closed(bound, best_val) else "grid-budget"
 
 
 def schur_poly(coeffs, tol: Tolerances = DEFAULT_TOL) -> SchurPoly:
@@ -180,23 +235,16 @@ def toeplitz_truncate(f: SchurPoly, n: int) -> np.ndarray:
 
 def segment_radius(a: Contraction, b: Contraction,
                    tol: Tolerances = DEFAULT_TOL) -> float:
-    """Largest r with ||(1-eps)a + eps b|| <= 1 + slack at sampled |eps| = r.
+    """Proven lower bound of the largest r with ||(1-eps)a + eps b|| <= 1 +
+    tol.contraction_slack on the whole disc |eps| <= r.
 
-    Positive exactly when b is Shmul'yan dominated by a; math.inf for
-    (essentially) constant segments.  The radius is shrunk until the
-    tol.grid_points samples of its circle stay in the ball; it is a
-    sampled estimate, not a proven radius.
+    ``segments.proven_radius`` of the segment: positive exactly when b is
+    Shmul'yan dominated by a (up to the leak threshold), math.inf for
+    (essentially) constant segments.
     """
     if a.shape != b.shape:
         raise ShapeMismatchError(f"shape mismatch {a.shape} vs {b.shape}")
-    diff = b.mat - a.mat
-    r = radius_search(a.mat, diff, tol.contraction_slack, samples=128)
-    if r in (0.0, math.inf):
-        return r
-    while r > 0 and circle_max_norm(a.mat, diff, r, tol.grid_points) \
-            > 1.0 + tol.contraction_slack:
-        r *= 0.999
-    return r
+    return proven_radius(a.mat, b.mat - a.mat, tol)
 
 
 @dataclass(frozen=True)
@@ -230,14 +278,18 @@ def connect_arc(t: Contraction, t_prime: Contraction,
 
     Arcs exist exactly for Shmul'yan-equivalent pairs, so inequivalence
     is reported as proven NotConnected; running out of hop budget is the
-    distinct "budget_exhausted" outcome.
+    distinct "budget_exhausted" outcome.  Equivalence is the decision of
+    ``shmulyan_dominates`` in both directions, without its audit routes.
+    Each hop from the point p on the segment is p + lambda s u with s =
+    (1 - HOP_MARGIN) times the proven radius of p along u, so every
+    degree-1 arc is certified by the same whitened bound that sized it.
     """
     if t.shape != t_prime.shape:
         raise ShapeMismatchError(f"shape mismatch {t.shape} vs {t_prime.shape}")
     u = t_prime.mat - t.mat
     if op_norm(u) <= 1e-12:
         return ArcResult("connected", ArcCertificate((), 0.0, ()))
-    if not shmulyan_equivalent(t, t_prime, tol).equivalent:
+    if not (_factor_dominates(t_prime, t, tol) and _factor_dominates(t, t_prime, tol)):
         return ArcResult("not_equivalent", None)
 
     arcs = []
@@ -246,20 +298,11 @@ def connect_arc(t: Contraction, t_prime: Contraction,
     tau = 0.0
     for _ in range(HOP_BUDGET):
         point = t.mat + tau * u
-        s_max = radius_search(point, u, tol.contraction_slack, samples=256)
+        s_max = (1.0 - HOP_MARGIN) * proven_radius(point, u, tol)
         if s_max == 0.0:
             return ArcResult("budget_exhausted", None)
         if math.isinf(s_max):
             s_max = max(4.0 * (1.0 - tau), 1.0)
-        # the search grid is coarser than the certificate grid; shrink the
-        # coefficient until the full-grid circle maximum stays in the ball
-        for _ in range(12):
-            if circle_max_norm(point, s_max * u, 1.0, tol.grid_points) \
-                    <= 1.0 + tol.contraction_slack:
-                break
-            s_max *= 0.995
-        else:
-            return ArcResult("budget_exhausted", None)
         coeff = s_max * u
         remaining = 1.0 - tau
         if remaining <= s_max * 0.97:

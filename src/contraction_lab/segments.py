@@ -7,9 +7,14 @@ points with one batched SVD, ``poly_value`` evaluates F at one point, and
 
 For contractions a, b the function eps -> ||(1-eps)a + eps b|| is
 subharmonic, so its maximum over a disc |eps| <= r is attained on the
-circle |eps| = r and is nondecreasing in r.  ``radius_search`` looks only
-at sampled points of such circles, so its radius is a sampled estimate:
-the circle may leave the ball between two samples.
+circle |eps| = r and is nondecreasing in r.  Two radii of such discs are
+computed here.  ``proven_radius`` is a proven lower bound of the largest
+one, from the whitened numerical radius: ||c + eps u|| <= 1 on |eps| <= r
+exactly when P + eps N + conj(eps) N* >= 0 with P = [[I, c], [c*, I]] and
+N = [[0, u], [0, 0]]; a small leak of N onto ker P is charged to the
+slack.  ``radius_search`` looks only at sampled points of
+the circles, so its radius is a sampled estimate: the circle may leave
+the ball between two samples.
 """
 
 from __future__ import annotations
@@ -18,9 +23,9 @@ import math
 
 import numpy as np
 
-from .linalg import as_matrix, op_norm
+from .linalg import DEFAULT_TOL, Tolerances, as_matrix, op_norm
 
-__all__ = ["circle_max_norm", "radius_search"]
+__all__ = ["circle_max_norm", "proven_radius", "radius_search"]
 
 # Smallest radius radius_search tries; escaping at it means no segment.
 RADIUS_FLOOR = 1e-6
@@ -31,6 +36,14 @@ RADIUS_RTOL = 1e-8
 # radius_search skips a sample only when its proven bound is this far
 # inside the limit (see its docstring).
 PRUNE_MARGIN = 1e-12
+# Angles of the numerical-radius grid of proven_radius; the grid maximum is
+# within a factor cos(pi / 256) = 1 - 7.5e-5 of the numerical radius.
+RADIUS_ANGLES = 256
+# Residual threshold of the Shmul'yan factorization routes (imported there
+# as ROUTE_RTOL), and a direction leaks onto ker P above LEAK_RTOL *
+# max(1, ||u||): one policy.  Matrices live in the unit ball, so an
+# absolute scale of 1e-8 matches the block identities used elsewhere.
+LEAK_RTOL = 1e-8
 
 
 def unit_circle(samples: int):
@@ -196,3 +209,82 @@ def radius_search(center, direction, slack: float, samples: int = 128) -> float:
         else:
             lo, lo_bound = mid, bound
     return lo
+
+
+def _whitened_disc(center, direction, psd_atol: float):
+    """(omega, overshoot, leak) with ||c + eps u|| <= 1 + overshoot + 4 |eps| leak
+    on the whole disc |eps| <= 1 / omega; omega is inf when there is no disc.
+
+    With P = [[I, c], [c*, I]] and N = [[0, u], [0, 0]], ||c + eps u|| <=
+    1 + delta exactly when P + delta I + eps N + conj(eps) N* >= 0.  One
+    eigh of P splits it into its kernel K (eigenvalues within psd_atol of
+    zero) and its range R.  overshoot = max(0, -lambda_min(P)) is how far
+    the center is outside the ball; past psd_atol omega is inf.  leak =
+    max(||u K_in||, ||u* K_out||) bounds the K-K and R-K blocks of N and
+    N*; above LEAK_RTOL * max(1, ||u||) the direction leaks onto ker P (the
+    not-dominated case) and omega is inf.  On R, whitening with the
+    eigenvalues gives A = P^{+1/2} N P^{+1/2}, and the R-R block stays
+    >= 0 on |eps| <= 1 / (2 w(A)), w the numerical radius; the other blocks
+    cost at most overshoot + 4 |eps| leak.  omega = 2 w_upper, with w(A)
+    bounded from above twice:
+    - on RADIUS_ANGLES angles theta_k, f(theta) = lambda_max(Re(e^{i theta}
+      A)) is a maximum of sinusoids x* Re(e^{i theta} A) x of amplitude at
+      most w(A), and the one of the maximizing x reaches w(A); so the
+      grid angle nearest its peak sees at least w(A) cos(pi / M).  Since
+      f(theta + pi) = -lambda_min(Re(e^{i theta} A)), M angles cost M/2
+      batched eigvalsh;
+    - Kittaneh's w(A) <= (||A|| + ||A^2||^{1/2}) / 2 (Studia Math. 158,
+      2003), exact when A^2 = 0, as on flat partial-isometry hops.
+    The smaller one plus 4 m eps ||A|| for the rounding of the m x m
+    eigenproblems is w_upper.
+    """
+    c = as_matrix(center)
+    u = as_matrix(direction)
+    if c.size == 0:
+        return 0.0, 0.0, 0.0
+    m, n = c.shape
+    p = np.eye(m + n, dtype=complex)
+    p[:m, m:] = c
+    p[m:, :m] = c.conj().T
+    w, v = np.linalg.eigh(p)
+    overshoot = max(0.0, -float(w[0]))
+    keep = w > psd_atol
+    ker = v[:, ~keep]
+    leak = max(op_norm(u @ ker[m:]), op_norm(u.conj().T @ ker[:m]))
+    if overshoot > psd_atol or leak > LEAK_RTOL * max(1.0, op_norm(u)):
+        return math.inf, overshoot, leak
+    half = v[:, keep] / np.sqrt(w[keep])  # the columns of P^{+1/2} on its range
+    a = half[:m].conj().T @ u @ half[m:]
+    size = a.shape[0]
+    a_norm = op_norm(a)
+    if a_norm == 0.0:
+        return 0.0, overshoot, leak
+    # Re(e^{i theta} A) = cos(theta) Re A + sin(theta) i (A - A*) / 2
+    theta = unit_circle(RADIUS_ANGLES)[0][: RADIUS_ANGLES // 2]
+    stack = np.multiply.outer(np.cos(theta), 0.5 * (a + a.conj().T))
+    stack += np.multiply.outer(np.sin(theta), 0.5j * (a - a.conj().T))
+    ev = np.linalg.eigvalsh(stack)
+    grid = max(ev[:, -1].max(), -ev[:, 0].min()) / math.cos(math.pi / RADIUS_ANGLES)
+    kittaneh = 0.5 * (a_norm + math.sqrt(op_norm(a @ a)))
+    omega = 2.0 * float(min(grid, kittaneh) + 4.0 * size * np.finfo(float).eps * a_norm)
+    return omega, overshoot, leak
+
+
+def proven_radius(center, direction, tol: Tolerances = DEFAULT_TOL) -> float:
+    """Proven lower bound of the largest r with ||center + eps direction||
+    <= 1 + tol.contraction_slack on the whole disc |eps| <= r.
+
+    The disc of :func:`_whitened_disc`, shrunk so that its leak term stays
+    within the slack; when the center is in the ball and nothing leaks the
+    norm stays within 1 itself.  0.0 when the direction leaks onto the
+    kernel of P (no disc; the not-dominated case) or the center is outside
+    the ball, math.inf above RADIUS_CAP.
+    """
+    omega, overshoot, leak = _whitened_disc(center, direction, tol.psd_atol)
+    room = tol.contraction_slack - overshoot
+    if math.isinf(omega) or room < 0.0:
+        return 0.0
+    r = 1.0 / omega if omega else math.inf
+    if leak:
+        r = min(r, room / (4.0 * leak))
+    return math.inf if r >= RADIUS_CAP else r

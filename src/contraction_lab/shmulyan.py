@@ -43,6 +43,9 @@ from .linalg import (
 # circle_max_norm is unused here; perfbench/spans.py checks that this binding
 # resolves to its traced wrapper, so it stays
 from .segments import RADIUS_FLOOR, circle_max_norm, radius_search  # noqa: F401
+# the residual threshold of the factorization routes is the leak threshold
+# of the proven segment radius: one policy
+from .segments import LEAK_RTOL as ROUTE_RTOL
 
 __all__ = [
     "ColumnCriterion",
@@ -61,12 +64,6 @@ __all__ = [
     "shmulyan_dominates",
     "shmulyan_equivalent",
 ]
-
-# Residual threshold for the factorization routes; matrices live in the
-# unit ball so an absolute scale of 1e-8 matches the block identities used
-# elsewhere.
-ROUTE_RTOL = 1e-8
-
 
 class NotPartialIsometryError(ValueError):
     """Operator fails the defining identity T T* T = T."""
@@ -115,6 +112,21 @@ def _two_sided_solve(left: np.ndarray, mid: np.ndarray, right: np.ndarray,
     return x, resid
 
 
+def _factor_route(b: Contraction, a: Contraction, tol: Tolerances):
+    """Minimal-norm X with b - a = D_{a*} X D_a, its residual and the
+    residual bound of the deciding defect-factor route."""
+    dd = defect_data(a, tol)
+    diff = b.mat - a.mat
+    x, res_x = _two_sided_solve(dd.d_tstar, diff, dd.d_t, tol)
+    return x, res_x, ROUTE_RTOL * max(1.0, op_norm(diff))
+
+
+def _factor_dominates(b: Contraction, a: Contraction, tol: Tolerances) -> bool:
+    """The decision of :func:`shmulyan_dominates`, without its audit routes."""
+    _, res_x, bound = _factor_route(b, a, tol)
+    return res_x <= bound
+
+
 def shmulyan_dominates(b: Contraction, a: Contraction,
                        tol: Tolerances = DEFAULT_TOL) -> ShmulyanVerdict:
     """Decide whether b is Shmul'yan dominated by a (b = a + D_{a*} X D_a).
@@ -127,9 +139,7 @@ def shmulyan_dominates(b: Contraction, a: Contraction,
         raise ShapeMismatchError(f"shape mismatch {b.shape} vs {a.shape}")
     dd = defect_data(a, tol)
     diff = b.mat - a.mat
-    bound = ROUTE_RTOL * max(1.0, op_norm(diff))
-
-    x, res_x = _two_sided_solve(dd.d_tstar, diff, dd.d_t, tol)
+    x, res_x, bound = _factor_route(b, a, tol)
     feasible_factor = res_x <= bound
 
     gram = np.eye(a.shape[1], dtype=complex) - b.mat.conj().T @ a.mat
@@ -144,8 +154,8 @@ def shmulyan_dominates(b: Contraction, a: Contraction,
 
     witness = None
     if not feasible_factor and diff.size:
-        u, _, vh = np.linalg.svd(diff - dd.d_tstar @ x @ dd.d_t)
-        witness = vh.conj().T[:, 0]
+        _, _, vh = np.linalg.svd(diff - dd.d_tstar @ x @ dd.d_t)
+        witness = vh[0].conj()  # a copy: the row view would pin all of vh
 
     marginal = False
     for res, bnd in ((res_x, bound), (res_y, bound_y)):

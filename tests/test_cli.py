@@ -129,6 +129,25 @@ class TestPartAndArc:
         first = matrix_from_json(cert["arcs"][0]["coeffs"][0])
         assert first.shape == (1, 1)
 
+    def test_arc_reports_each_hop_sup_norm(self, files):
+        code, report = run_cli(["arc", files["J"], files["JZ"]])
+        assert code == 0
+        for arc in report["certificate"]["arcs"]:
+            assert arc["method"] == "whitened"
+            assert arc["sup_norm"] <= 1.0 + DEFAULT_TOL.contraction_slack
+
+    def test_arc_hops_follow_psd_atol(self, files):
+        a = write_matrix(files["tmp"] / "a.json", np.diag([1.0 - 1e-9, 0.3]))
+        b = write_matrix(files["tmp"] / "b.json", np.diag([1.0, 0.8]))
+        code, default = run_cli(["arc", a, b])
+        assert code == 0
+        code, wide = run_cli(["--psd-atol", "1e-8", "arc", a, b])
+        assert code == 0
+        assert wide["tolerances"]["psd_atol"] == 1e-8
+        # the 1e-9 eigenvalue of P is a kernel direction under 1e-8, and the
+        # direction's leak onto it shortens every hop
+        assert len(wide["certificate"]["arcs"]) > 4 * len(default["certificate"]["arcs"])
+
     def test_arc_disconnected(self, files):
         code, report = run_cli(["arc", files["one"], files["half"]])
         assert code == 1
@@ -213,6 +232,8 @@ class TestErrorsAndReproducibility:
         argv = ["dominate", "--order", "harnack", files["half"], files["zero"]]
         assert run_raw(argv) == run_raw(argv)
         argv = ["gen", "--kind", "generic", "--dim", "4", "--seed", "9"]
+        assert run_raw(argv) == run_raw(argv)
+        argv = ["arc", files["J"], files["JZ"]]
         assert run_raw(argv) == run_raw(argv)
 
     def test_demo_stdout_is_reproducible(self):

@@ -20,10 +20,17 @@ from contraction_lab import (
     shmulyan_equivalent,
     toeplitz_truncate,
 )
-from contraction_lab import schur
+from contraction_lab import defect_data, schur, shmulyan
 from contraction_lab.corpus import GenSpec, generate, random_unitary
-from contraction_lab.linalg import DEFAULT_TOL, op_norm
-from contraction_lab.segments import circle_max_norm, poly_norms, poly_value, unit_circle
+from contraction_lab.linalg import DEFAULT_TOL, Tolerances, op_norm
+from contraction_lab.segments import (
+    circle_max_norm,
+    poly_norms,
+    poly_value,
+    proven_radius,
+    unit_circle,
+)
+from contraction_lab.shmulyan import partial_isometry_part
 
 from conftest import rng_matrix, scaled_contraction
 
@@ -50,6 +57,8 @@ def rand_poly(seed, rows, cols, degree, scale=0.4):
 # 1 on the whole circle, every grid arc has the same bound, and no split
 # lowers the top bound, so refinement spends the whole split budget.
 FLAT_ARC = (np.diag([1.0, 0.0]).astype(complex), np.diag([0.0, 0.5]).astype(complex))
+# w + lam^2 Z: flat too, and of degree 2, so only the grid certifies it
+FLAT_ARC2 = (FLAT_ARC[0], np.zeros((2, 2), dtype=complex), FLAT_ARC[1])
 
 
 class TestSupNorm:
@@ -80,12 +89,59 @@ class TestSupNorm:
         assert schur_sup_norm(f) >= dense - 1e-12
 
     def test_spent_budget_is_labelled(self):
-        # the flat-norm arc keeps a gap after SPLIT_BUDGET splits; a
-        # converged bound keeps the plain label
-        flat = schur_poly(FLAT_ARC)
+        # the degree-2 flat-norm polynomial keeps a gap after SPLIT_BUDGET
+        # splits; a converged bound keeps the plain label
+        flat = schur_poly(FLAT_ARC2)
         assert flat.method == "grid-budget"
         assert flat.sup_norm_estimate - 1.0 > schur.SUP_GAP
         assert schur_poly([np.array([[0.3]]), np.array([[0.4]])]).method == "grid"
+
+    def test_flat_affine_arc_is_whitened(self):
+        # the grid alone spends its budget on this arc and stays above 1;
+        # the whitened numerical radius proves sup = 1
+        flat = schur_poly(FLAT_ARC)
+        assert flat.method == "whitened"
+        assert 1.0 <= flat.sup_norm_estimate <= 1.0 + 1e-12
+        assert schur._grid_sup(FLAT_ARC, DEFAULT_TOL)[0] - 1.0 > schur.SUP_GAP
+
+    @pytest.mark.parametrize("seed, norm", [(11, 0.3), (12, 0.7), (13, 0.95), (14, 1.0)])
+    def test_whitened_bound_dominates_samples(self, seed, norm):
+        # strict and norm-one centers, directions inside and outside the
+        # proven disc (omega below and above 1)
+        c0 = scaled_contraction(seed, 3, norm).mat
+        c1 = rng_matrix(seed + 1, 3, 3)
+        c1 = c1 / op_norm(c1) * (0.05 if norm == 1.0 else 0.4)
+        if norm == 1.0:  # a norm-one center dominating c1: no leak
+            left, s, right_h = np.linalg.svd(c0)
+            d = np.sqrt(np.clip(1.0 - s ** 2, 0.0, None))
+            c1 = (left * d) @ left.conj().T @ c1 @ (right_h.conj().T * d) @ right_h
+        bound = schur._whitened_sup((c0, c1), DEFAULT_TOL)
+        assert math.isfinite(bound)
+        assert bound >= circle_samples((c0, c1), 16384).max() - 1e-12
+
+    def test_whitened_bound_charges_a_small_leak(self):
+        # c1 leaks 7e-10 onto the kernel pair (e1, e1) of c0, and the
+        # circle reaches 1 + 7e-10 there; omega < 1, and without the leak
+        # term the bound would be n0 + (1 - n0) omega = 1
+        coeffs = (np.diag([1.0, 0.3]).astype(complex), np.diag([7e-10, 0.5]).astype(complex))
+        dense = circle_samples(coeffs, 16384).max()
+        assert dense > 1.0 + 5e-10
+        assert schur._whitened_sup(coeffs, DEFAULT_TOL) >= dense
+        assert schur_poly(coeffs).sup_norm_estimate >= dense
+
+    def test_cap_never_below_the_best_sample(self, monkeypatch):
+        monkeypatch.setattr(schur, "_whitened_sup", lambda coeffs, tol: 0.5)
+        coeffs = rand_coeffs(3, 2, 2, 1)
+        f = schur_poly(coeffs)
+        assert f.method == "whitened"
+        best = circle_samples(coeffs, DEFAULT_TOL.grid_points).max()
+        assert f.sup_norm_estimate == pytest.approx(best, rel=1e-14)
+
+    def test_whitened_bound_needs_a_contractive_center(self):
+        c1 = 0.1 * np.eye(2)
+        assert math.isinf(schur._whitened_sup((1.01 * np.eye(2), c1), DEFAULT_TOL))
+        # a unit center with a direction leaking onto its kernel
+        assert math.isinf(schur._whitened_sup((np.eye(2, dtype=complex), c1), DEFAULT_TOL))
 
 
 def circle_samples(coeffs, samples):
@@ -100,7 +156,7 @@ def linear_scan_sup(coeffs, tol):
     """Reference: the certified sup-norm by a linear scan over an arc list.
 
     This is the refinement as first written, with `max` taking the first
-    maximal arc in list order; the heap in `schur._certified_sup` must
+    maximal arc in list order; the heap in `schur._grid_sup` must
     split the same arcs and return the same floats.
     """
     if coeffs[0].size == 0:
@@ -173,12 +229,16 @@ ORACLE_POLYS = [(seed, rows, cols, degree)
 
 
 class TestHeapMatchesLinearScan:
-    """The heap refinement returns bit for bit the linear scan's bounds."""
+    """The heap refinement returns bit for bit the linear scan's bounds.
+
+    `schur._grid_sup` is the heap path alone; `_certified_sup` also takes
+    the whitened bound on degree 1, which the scan does not have.
+    """
 
     @pytest.mark.parametrize("seed, rows, cols, degree", ORACLE_POLYS)
     def test_random_polynomials(self, seed, rows, cols, degree):
         coeffs = rand_coeffs(seed, rows, cols, degree)
-        got = schur._certified_sup(coeffs, DEFAULT_TOL)
+        got = schur._grid_sup(coeffs, DEFAULT_TOL)
         assert got == linear_scan_sup(coeffs, DEFAULT_TOL)
 
     def test_flat_arc_bounds_tie(self):
@@ -197,7 +257,7 @@ class TestHeapMatchesLinearScan:
                      id="near-flat"),
     ])
     def test_split_budget_runs_out(self, coeffs):
-        got = schur._certified_sup(coeffs, DEFAULT_TOL)
+        got = schur._grid_sup(coeffs, DEFAULT_TOL)
         assert got == linear_scan_sup(coeffs, DEFAULT_TOL)
         best = circle_samples(coeffs, DEFAULT_TOL.grid_points).max()
         assert got[0] - best > schur.SUP_GAP
@@ -208,7 +268,7 @@ class TestHeapMatchesLinearScan:
         pytest.param((np.zeros((0, 3)), np.zeros((0, 3))), id="empty"),
     ])
     def test_shortcuts_and_identity(self, coeffs):
-        got = schur._certified_sup(coeffs, DEFAULT_TOL)
+        got = schur._grid_sup(coeffs, DEFAULT_TOL)
         assert got == linear_scan_sup(coeffs, DEFAULT_TOL)
 
 
@@ -287,6 +347,86 @@ class TestConnectArc:
             assert op_norm(poly.eval_at(0.0) - current) < 1e-8
             current = poly.eval_at(lam)
         assert op_norm(current - b.mat) < 1e-8
+
+
+def arc_pair(kind, d, seed):
+    """An equivalent pair of one of the four arc generators.
+
+    eq-strict: two strict contractions of norm <= 0.85; eq-w-member: a
+    partial isometry and a member U + Z of its part; eq-members: two such
+    members; eq-ball: U + strict and a + D_{a*} X D_a.
+    """
+    rng = np.random.default_rng(seed)
+    if kind == "eq-strict":
+        return (generate(GenSpec(d, "strict", seed, {"norm_bound": 0.85})),
+                generate(GenSpec(d, "strict", seed + 1, {"norm_bound": 0.85})))
+    rank = 1 + seed % max(d - 1, 1)
+    if kind == "eq-ball":
+        a = generate(GenSpec(d, "direct_sum_U_plus_Q", seed,
+                             {"unitary_dim": rank, "norm_bound": 0.6}))
+        dd = defect_data(a)
+        x = rng_matrix(seed + 2, d, d)
+        x *= rng.uniform(0.1, 0.85) / op_norm(x)
+        return a, make_contraction(a.mat + dd.d_tstar @ x @ dd.d_t)
+    w = generate(GenSpec(d, "partial_isometry", seed, {"rank": rank}))
+    part = partial_isometry_part(w)
+
+    def member():
+        k = part.null_in.dim
+        z = rng_matrix(int(rng.integers(1 << 30)), k, k)
+        z *= rng.uniform(0.1, 0.9) / op_norm(z)
+        return make_contraction(w.mat + part.null_out.basis @ z @ part.null_in.basis.conj().T)
+
+    return (w, member()) if kind == "eq-w-member" else (member(), member())
+
+
+class TestProvenHops:
+    """Every hop of a chain is certified inside the ball by its own bound."""
+
+    @pytest.mark.parametrize("d", [2, 3, 4, 8])
+    @pytest.mark.parametrize("kind", ["eq-strict", "eq-ball", "eq-members", "eq-w-member"])
+    def test_hops_certified(self, kind, d):
+        slack = DEFAULT_TOL.contraction_slack
+        for seed in range(2):
+            a, b = arc_pair(kind, d, 1000 * d + 10 * seed)
+            result = connect_arc(a, b)
+            assert result.status == "connected", (kind, d, seed)
+            for arc, _lam in result.certificate.arcs:
+                assert arc.sup_norm_estimate <= 1.0 + slack, (kind, d, seed, arc.method)
+                # the samples may exceed a bound of exactly 1 by SVD rounding
+                dense = circle_samples(arc.coeffs, 16384).max()
+                assert dense <= arc.sup_norm_estimate + 1e-12, (kind, d, seed)
+
+    def test_hop_uses_the_proven_radius(self):
+        a, b = arc_pair("eq-strict", 3, 5)
+        arc, _ = connect_arc(a, b).certificate.arcs[0]
+        u = b.mat - a.mat
+        s = op_norm(arc.coeffs[1]) / op_norm(u)
+        assert s == pytest.approx((1.0 - schur.HOP_MARGIN) * proven_radius(a.mat, u), rel=1e-14)
+
+    def test_psd_atol_reaches_the_hops(self):
+        # P of the start has the eigenvalue 1e-9, a kernel direction under
+        # psd_atol = 1e-8, where the 1e-9 leak of u shortens every hop
+        a = make_contraction(np.diag([1.0 - 1e-9, 0.3]))
+        b = make_contraction(np.diag([1.0, 0.8]))
+        wide = Tolerances(psd_atol=1e-8)
+        hops = {}
+        for tol in (DEFAULT_TOL, wide):
+            result = connect_arc(a, b, tol)
+            assert result.status == "connected"
+            for arc, _lam in result.certificate.arcs:
+                assert arc.sup_norm_estimate <= 1.0 + tol.contraction_slack
+            hops[tol.psd_atol] = len(result.certificate.arcs)
+        assert hops[1e-8] > 4 * hops[DEFAULT_TOL.psd_atol]
+
+    def test_decision_skips_the_audit(self, monkeypatch):
+        # the segment route's radius search is never run for an arc
+        def refuse(*args, **kwargs):
+            raise AssertionError("radius_search called")
+
+        monkeypatch.setattr(shmulyan, "radius_search", refuse)
+        assert connect_arc(J, JZ).status == "connected"
+        assert connect_arc(sc(1.0), sc(0.5)).status == "not_equivalent"
 
 
 class TestPartialIsometryArc:

@@ -1,4 +1,5 @@
-"""The pruned segment radius search against the plain bracket-and-bisection."""
+"""Segment radii: the proven radius, and the pruned search against the plain
+bracket-and-bisection."""
 
 import math
 
@@ -7,12 +8,13 @@ import pytest
 
 from contraction_lab import segments
 from contraction_lab.corpus import random_unitary
-from contraction_lab.linalg import op_norm
+from contraction_lab.linalg import Tolerances, op_norm
 from contraction_lab.segments import (
     RADIUS_CAP,
     RADIUS_FLOOR,
     RADIUS_RTOL,
     circle_max_norm,
+    proven_radius,
     radius_search,
 )
 
@@ -188,3 +190,76 @@ class TestWork:
 
     def test_margin_is_positive(self):
         assert 0.0 < segments.PRUNE_MARGIN < SLACK
+
+
+def radius_class(r):
+    return "none" if r == 0.0 else "unbounded" if math.isinf(r) else "finite"
+
+
+class TestProvenRadius:
+    """The whitened numerical radius gives a disc that provably stays inside."""
+
+    @pytest.mark.parametrize("d", [2, 3, 4, 8])
+    @pytest.mark.parametrize("kind", ["strict", "flat", "unitary", "norm-one"])
+    def test_circle_stays_inside(self, kind, d):
+        # strict pairs, partial-isometry members (flat) and, at even seeds,
+        # U + strict ball members and norm-one centers with a direction on
+        # their defects
+        for seed in (0, 2):
+            c, u = segment_case(kind, d, 100 * d + seed)
+            r = proven_radius(c, u)
+            if (kind, d, seed) == ("norm-one", 3, 0):
+                # the clipped defect leaves a leak of 6e-8, above the cut
+                assert r == 0.0
+                continue
+            assert 0.0 < r < math.inf, (kind, d, seed)
+            assert circle_max_norm(c, u, r, 16384) <= 1.0 + 1e-12, (kind, d, seed)
+            # and it is tight: the grid bound is within 7.5e-5 of the radius
+            assert circle_max_norm(c, u, 1.001 * r, 16384) > 1.0, (kind, d, seed)
+
+    @pytest.mark.parametrize("rows, cols", [(1, 1), (3, 3), (2, 5)])
+    def test_zero_center(self, rows, cols):
+        u = rng_matrix(rows * cols, rows, cols)
+        r = proven_radius(np.zeros((rows, cols)), u)
+        assert r == pytest.approx(1.0 / op_norm(u), rel=1e-12)
+
+    def test_scalar_pair_is_exact(self):
+        # A^2 = 0, so Kittaneh's bound is the numerical radius itself
+        assert proven_radius([[0.0]], [[0.5]]) == pytest.approx(2.0, rel=1e-14)
+
+    @pytest.mark.parametrize("d", [1, 2, 4, 8])
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_same_call_as_the_search(self, kind, d):
+        for seed in range(2):
+            c, u = segment_case(kind, d, 100 * d + seed)
+            proven, sampled = proven_radius(c, u), radius_search(c, u, SLACK)
+            assert radius_class(proven) == radius_class(sampled), (kind, d, seed)
+            if radius_class(proven) == "finite":
+                # the search's radius can only overshoot the true one
+                assert proven <= sampled * (1.0 + 2 * RADIUS_RTOL), (kind, d, seed)
+
+    def test_small_leak_is_charged_to_the_slack(self):
+        # (e1, e1) is the kernel pair of c, and u leaks 1e-9 onto it: the
+        # disc of the range alone (radius 0.7) reaches 1 + 7e-10
+        c = np.diag([1.0, 0.3]).astype(complex)
+        u = np.diag([1e-9, 1.0]).astype(complex)
+        r = proven_radius(c, u)
+        assert r == pytest.approx(SLACK / (4e-9 / math.sqrt(2)), rel=1e-12)
+        assert circle_max_norm(c, u, r, 16384) <= 1.0 + SLACK
+        assert circle_max_norm(c, u, 0.7 * (1.0 - 1e-6), 16384) > 1.0 + SLACK
+
+    def test_kernel_cut_follows_psd_atol(self):
+        # P has the eigenvalue 1e-9: range under the default psd_atol, where
+        # the disc is exact, and kernel under 1e-8, where u leaks 1e-9
+        c = np.diag([1.0 - 1e-9, 0.3]).astype(complex)
+        u = np.diag([1e-9, 1.0]).astype(complex)
+        assert proven_radius(c, u) == pytest.approx(0.7, rel=1e-4)
+        wide = proven_radius(c, u, Tolerances(psd_atol=1e-8))
+        assert wide == pytest.approx(SLACK / (4e-9 / math.sqrt(2)), rel=1e-6)
+        assert circle_max_norm(c, u, wide, 16384) <= 1.0 + SLACK
+
+    def test_leak_and_outside_center(self):
+        w, _, _ = _partial_isometry(4, 2, 3)
+        assert proven_radius(w, rng_matrix(9, 4, 4)) == 0.0
+        assert proven_radius(1.001 * np.eye(2), 0.1 * np.eye(2)) == 0.0
+        assert proven_radius(0.5 * np.eye(3), np.zeros((3, 3))) == math.inf

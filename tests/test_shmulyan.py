@@ -13,7 +13,7 @@ from contraction_lab import (
 )
 from contraction_lab.corpus import GenSpec, generate, random_unitary
 from contraction_lab.harnack import NOT_DOMINATED, harnack_dominates
-from contraction_lab.linalg import op_norm, rank_of
+from contraction_lab.linalg import DEFAULT_TOL, op_norm, pinv, rank_of
 from contraction_lab.shmulyan import (
     IncompatibleSplitsError,
     NotPartialIsometryError,
@@ -72,6 +72,45 @@ class TestDominates:
         v = shmulyan_dominates(b, a)
         assert v.dominates
         assert all(v.route_agreement.values())
+
+
+class TestDecisionAlone:
+    """The defect-factor decision used by connect_arc, without the audit."""
+
+    def test_criterion_7_pairs(self, monkeypatch):
+        from contraction_lab import shmulyan, suites
+
+        rng = np.random.default_rng(107)
+        pairs = []
+        for i in range(30):
+            d = int(rng.integers(1, 5))
+            pairs.append(suites._equivalent_pair(rng, d, 23 * i, DEFAULT_TOL))
+            pairs.append(suites._inequivalent_pair(rng, max(d, 2), 29 * i, DEFAULT_TOL))
+        verdicts = [(shmulyan_dominates(b, a), shmulyan_dominates(a, b)) for a, b in pairs]
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("radius_search called for the decision alone")
+
+        monkeypatch.setattr(shmulyan, "radius_search", refuse)
+        for (a, b), (fwd, bwd) in zip(pairs, verdicts):
+            assert shmulyan._factor_dominates(b, a, DEFAULT_TOL) == fwd.dominates
+            assert shmulyan._factor_dominates(a, b, DEFAULT_TOL) == bwd.dominates
+        assert {fwd.dominates and bwd.dominates for fwd, bwd in verdicts} == {True, False}
+
+
+class TestWitness:
+    def test_witness_owns_its_data(self):
+        # a row view of the SVD's vh would keep the whole d x d matrix alive
+        a = generate(GenSpec(dim=6, kind="partial_isometry", seed=3, params={"rank": 3}))
+        b = make_contraction(0.5 * rng_matrix(8, 6, 6) / op_norm(rng_matrix(8, 6, 6)))
+        v = shmulyan_dominates(b, a)
+        assert not v.dominates
+        assert v.witness.base is None and v.witness.flags.owndata
+        # the same floats as the first column of vh*
+        dd = defect_data(a)
+        x = pinv(dd.d_tstar) @ (b.mat - a.mat) @ pinv(dd.d_t)
+        _, _, vh = np.linalg.svd(b.mat - a.mat - dd.d_tstar @ x @ dd.d_t)
+        assert np.array_equal(v.witness, vh.conj().T[:, 0])
 
 
 class TestEquivalence:
