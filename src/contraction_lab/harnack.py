@@ -1,19 +1,34 @@
-"""Harnack domination via the dilation Gram hierarchy and its symbol.
+"""Harnack domination, decided after level 1 of the dilation Gram hierarchy.
 
 A contraction t' is Harnack dominated by t with constant c^2 exactly when
 <G_{t'} x, x> <= c^2 <G_t x, x> holds at every level of the nested block
 Gram matrices G (block (m, n) = T^(n-m) for n >= m, adjoint below), the
-Gram matrices of the minimal isometric dilation vectors.  Finite levels
-certify failure exactly (a kernel vector of G_t escaping the kernel of
-G_{t'}).  The Gram matrices are sections of a block Toeplitz operator,
-which is PSD exactly when its symbol is; when both spectral radii are
-below 1 the symbol is continuous and decides success on the circle: t
-dominates t' when D_{t'} (I - z t')^{-1} (I - z t) vanishes on ker D_t
-at more than d + 1 angles, and the reported constant is a sampled maximum,
-a lower bound of c^2, not a certified upper bound.  Pairs with an
-eigenvalue on the unit circle keep the hierarchy, where Dominated rests on
-a converged or extrapolated constant trace, an estimate rather than a
-proof.  The verdict is honestly tri-state.
+Gram matrices of the minimal isometric dilation vectors.  One path decides
+every pair:
+
+1. Level 1 certifies failure exactly when a kernel vector of G_t escapes
+   the kernel of G_{t'} (method "kernel-escape"); else t' = t on ker D_t.
+2. A finite-dimensional contraction is U + t_0 with U unitary and
+   rho(t_0) < 1 (Sz.-Nagy-Foias, Harmonic Analysis of Operators on
+   Hilbert Space, Thm I.3.2).  U acts on a part of ker D_t, so after
+   level 1 it reduces t' too, t' = U + t'_0; as Re p(U) <= c^2 Re p(U)
+   for c >= 1, t dominates t' exactly when t_0 dominates t'_0, with the
+   same constant.  A unitary t dominates with constant 1 ("unitary").
+3. An eigenvector y of t'_0 with |mu| = 1 refutes every constant
+   ("fejer"): the Fejer polynomial p_n (see fejer_polynomial) has
+   <Re p_n(t'_0) y, y> = n + 1, while <Re p_n(t_0) y, y> averages Re p_n
+   against the Poisson symbol of t_0, bounded as rho(t_0) < 1.
+4. Otherwise both spectral radii are below 1.  The Gram matrices are
+   sections of the block Toeplitz operator with the continuous symbol
+   P_T = (I - zT)^{-*} D_T^2 (I - zT)^{-1}, which is PSD exactly when
+   its symbol is (Boettcher-Silbermann): t dominates t' when
+   D_{t'} (I - z t')^{-1} (I - z t) vanishes on ker D_t (method
+   "symbol"), and the reported constant is a sampled maximum, a lower
+   bound of c^2, not a certified upper bound.
+
+A leaking symbol, or an eigenvalue near the circle that the split did not
+remove, ends Inconclusive, never Dominated.  Deeper levels of the hierarchy
+run only on request (``full_trace``), as an audit of the constant trace.
 
 Direction convention, used consistently across this module:
 ``harnack_dominates(a, b)`` asks whether **a dominates b**, and
@@ -23,12 +38,14 @@ Re p(b) <= c Re p(a) violated.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 
+from .asymptotics import reducing_unitary_part
 from .contraction import Contraction, defect_data
 from .linalg import (
     DEFAULT_TOL,
@@ -36,6 +53,7 @@ from .linalg import (
     ShapeMismatchError,
     Tolerances,
     _psd_eigh,
+    compress,
     douglas_solve,
     herm,
     op_norm,
@@ -52,6 +70,7 @@ __all__ = [
     "NecessaryConditionFailsError",
     "PipelineReport",
     "ZDivergesError",
+    "fejer_polynomial",
     "harnack_dominates",
     "harnack_equivalence",
     "harnack_falsify",
@@ -66,19 +85,6 @@ DOMINATED = "dominated"
 NOT_DOMINATED = "not_dominated"
 INCONCLUSIVE = "inconclusive"
 
-# Relative plateau width over the last three evaluated levels below which
-# the constant trace counts as converged.  Extreme eigenvalues of block
-# Toeplitz sections approach their limits only polynomially in the level,
-# so a tighter plateau would starve every strict pair of its verdict.
-PLATEAU_RTOL = 1e-3
-
-# Agreement threshold for the Richardson extrapolates of the constant
-# trace.  1/c_N is close to linear in 1/(N+2)^2 for rational symbols, so
-# stable extrapolates certify convergence long before the raw trace
-# plateaus.  Diverging traces miss this by an order of magnitude: linear
-# growth disagrees by ~15%, even logarithmic growth by ~3%.
-EXTRAPOLATION_RTOL = 2e-2
-
 # Points of the uniform theta grid of the symbol sweep.  The leak is a
 # rational function whose numerator has degree at most d, so the symbol
 # route serves d + 1 < SYMBOL_GRID; a finer grid costs more than it finds,
@@ -88,6 +94,11 @@ SYMBOL_GRID = 128
 # Golden-section steps around each of the two best sweep points; each
 # step shrinks the bracket (two grid spacings wide) by 0.618.
 SYMBOL_REFINE_STEPS = 24
+
+# Degrees of the Fejer polynomials harnack_falsify tries at each unimodular
+# eigenvalue of b.  Degree n refutes a constant below (n + 1) / M, where M
+# bounds the Poisson symbol of a; 2048 costs about 6 ms at d = 6.
+FEJER_DEGREES = tuple(16 * 2 ** k for k in range(8))
 
 
 class NecessaryConditionFailsError(ValueError):
@@ -155,16 +166,18 @@ def _level_schedule(max_level: int) -> list:
 class HarnackVerdict:
     """Tri-state outcome of the Harnack order, with the route that decided it.
 
-    constants          level constants c_N^2 (nondecreasing by nesting)
+    constants          level constants c_N^2 (nondecreasing by nesting),
+                       of level 1 only unless full_trace asked for more
     levels             the levels at which they were evaluated
-    witness            kernel-escape certificate when not dominated
-    constant_estimate  the constant when dominated: on the symbol route the
-                       largest sampled max_theta ||G(theta) D_a^+||^2, a
-                       lower bound of c^2 that is never below the last level
-                       constant; on the hierarchy route an extrapolated
-                       limit of the level trace
+    witness            when not dominated: the escaping level-1 kernel vector
+                       of G_a, or a unit y with b y = mu y, |mu| = 1 ("fejer")
+    constant_estimate  the constant when dominated, never below the last
+                       level constant: 1 on a unitary pair, else the sampled
+                       max_theta ||G(theta) D_a^+||^2 of the non-unitary
+                       blocks, a lower bound of c^2
     kernel_floor       most negative normalized Gram eigenvalue seen
-    method             "kernel-escape", "symbol" or "hierarchy"
+    method             "kernel-escape", "fejer", "unitary" or "symbol"; an
+                       Inconclusive verdict carries "symbol"
     """
 
     status: str
@@ -173,82 +186,41 @@ class HarnackVerdict:
     witness: Optional[np.ndarray]
     levels_used: int
     kernel_floor: float
+    method: str
     constant_estimate: Optional[float] = None
-    method: str = "hierarchy"
 
     @property
     def dominated(self) -> bool:
         return self.status == DOMINATED
 
 
-def _extrapolate(levels: list, constants: list) -> Optional[float]:
-    """Limit estimate from extrapolating the reciprocal constant trace.
-
-    1/c_N behaves like u_inf + b/(N+2)^2 (+ higher order) for rational
-    symbols.  Convergence is declared when either the linear extrapolates
-    of the last two windows agree, or the exact quadratic three-point
-    extrapolate agrees with the freshest linear one; linearly diverging
-    traces fail both tests at every window.
-    """
-    if len(constants) < 3:
-        return None
-    c1, c2, c3 = constants[-3:]
-    if min(c1, c2, c3) <= 0:
-        return None
-    # plain plateau over four entries (three can stair-step at low levels)
-    if len(constants) >= 4 and abs(c3 - constants[-4]) <= PLATEAU_RTOL * max(c3, 1.0):
-        return c3
-    x1, x2, x3 = [1.0 / (n + 2.0) ** 2 for n in levels[-3:]]
-    u1, u2, u3 = 1.0 / c1, 1.0 / c2, 1.0 / c3
-
-    def linear(ua, xa, ub, xb):
-        slope = (ua - ub) / (xa - xb)
-        return ub - slope * xb
-
-    lim12 = linear(u1, x1, u2, x2)
-    lim23 = linear(u2, x2, u3, x3)
-    if lim23 <= 0:
-        return None
-    e23 = 1.0 / lim23
-    if lim12 > 0 and abs(1.0 / lim12 - e23) <= EXTRAPOLATION_RTOL * max(e23, 1.0):
-        return max(e23, c3)
-    quad = (u1 * x2 * x3 / ((x1 - x2) * (x1 - x3))
-            + u2 * x1 * x3 / ((x2 - x1) * (x2 - x3))
-            + u3 * x1 * x2 / ((x3 - x1) * (x3 - x2)))
-    if quad > 0:
-        eq = 1.0 / quad
-        if eq <= 100.0 * c3 and abs(eq - e23) <= EXTRAPOLATION_RTOL * max(eq, 1.0):
-            return max(eq, c3)
-    return None
+def _on_circle(spectrum: np.ndarray, tol: Tolerances) -> np.ndarray:
+    """1 - |lambda|^2 <= psd_atol: the clamp puts such eigenvectors in ker D."""
+    return 1.0 - np.abs(spectrum) ** 2 <= tol.psd_atol
 
 
-def _symbol_sweep(a: Contraction, b: Contraction, tol: Tolerances):
+def _symbol_sweep(a: np.ndarray, b: np.ndarray, spectra: np.ndarray,
+                  tol: Tolerances):
     """Leak and constant of G(theta) = D_b (I - z b)^{-1} (I - z a), z = e^{-i theta}.
 
-    Returns None unless both spectral radii are below 1, where the symbol
-    is a continuous function.  An eigenvalue with 1 - |lambda|^2 <=
-    psd_atol has an eigenvector that the psd_sqrt clamp puts in the kernel
-    of the defect: it counts as on the circle, where the symbol is a
-    measure and the hierarchy decides.  Otherwise returns (leak, c2): the
-    sweep points are the uniform grid plus the eigen-angles of a and b,
-    leak = max ||G K|| over them, K = ker D_a, and c2 = max ||G D_a^+||^2
-    over them and a golden-section search around the two best of them.
-    G K is a rational function whose numerator D_b adj(I - z b)(I - z a) K
-    has degree at most d in z, so it vanishes identically when it vanishes
-    on the SYMBOL_GRID > d + 1 grid points.  Level 1 escapes exactly when
-    b differs from a on K; otherwise (I - z a) K = (I - z b) K and
-    G K = D_b K = 0, so after level 1 the leak is a check on rounding.
-    Norms are unitarily invariant,
-    so D_b enters as diag(sqrt w_b) V_b* and D_a^+ as its range part
+    Both spectral radii must lie below 1, where the symbol is a continuous
+    function; ``spectra`` holds the eigenvalues of a and b.  Returns
+    (leak, c2): the sweep points are the uniform grid plus the eigen-angles
+    of a and b, leak = max ||G K|| over them, K = ker D_a, and c2 = max
+    ||G D_a^+||^2 over them and a golden-section search around the two
+    best of them.  G K is a rational function whose numerator
+    D_b adj(I - z b)(I - z a) K has degree at most d in z, so it vanishes
+    identically when it vanishes on the SYMBOL_GRID > d + 1 grid points.
+    Level 1 escapes exactly when b differs from a on K; otherwise
+    (I - z a) K = (I - z b) K and G K = D_b K = 0, so after level 1 the
+    leak is a check on rounding.  Norms are unitarily invariant, so D_b
+    enters as diag(sqrt w_b) V_b* and D_a^+ as its range part
     V_r diag(1/sqrt w_r), each from one clamped eigendecomposition.
     """
-    d = a.dim
-    spectra = np.concatenate([np.linalg.eigvals(a.mat), np.linalg.eigvals(b.mat)])
-    if d + 1 >= SYMBOL_GRID or 1.0 - float(np.max(np.abs(spectra))) ** 2 <= tol.psd_atol:
-        return None
+    d = a.shape[0]
     eye = np.eye(d, dtype=complex)
-    wa, va = _psd_eigh(eye - a.mat.conj().T @ a.mat, tol)
-    wb, vb = _psd_eigh(eye - b.mat.conj().T @ b.mat, tol)
+    wa, va = _psd_eigh(eye - a.conj().T @ a, tol)
+    wb, vb = _psd_eigh(eye - b.conj().T @ b, tol)
     kernel = wa == 0.0
     pinv_cols = va[:, ~kernel] / np.sqrt(wa[~kernel])
     left = np.sqrt(wb)[:, None] * vb.conj().T
@@ -256,7 +228,7 @@ def _symbol_sweep(a: Contraction, b: Contraction, tol: Tolerances):
     def symbol(theta, cols):
         """G(theta) @ cols for every angle, stacked."""
         z = np.exp(-1j * theta)[:, None, None]
-        return left @ np.linalg.solve(eye - z * b.mat, cols - z * (a.mat @ cols))
+        return left @ np.linalg.solve(eye - z * b, cols - z * (a @ cols))
 
     def top_sv(stack):
         return np.linalg.svd(stack, compute_uv=False)[:, 0]
@@ -264,7 +236,7 @@ def _symbol_sweep(a: Contraction, b: Contraction, tol: Tolerances):
     grid, _ = unit_circle(SYMBOL_GRID)
     theta = np.concatenate([grid, np.mod(np.angle(spectra), 2.0 * np.pi)])
     g = symbol(theta, np.concatenate([pinv_cols, va[:, kernel]], axis=1))
-    rank = pinv_cols.shape[1]  # >= 1: below the gate a is no isometry
+    rank = pinv_cols.shape[1]  # >= 1: below the circle a is no isometry
     c2 = top_sv(g[:, :, :rank]) ** 2
     leak = float(top_sv(g[:, :, rank:]).max()) if rank < d else 0.0
 
@@ -294,10 +266,39 @@ def _symbol_sweep(a: Contraction, b: Contraction, tol: Tolerances):
 def _no_leak(leak: float, c2: float, tol: Tolerances) -> bool:
     """G vanishes on ker D_a up to the clamp scale of D_a.
 
-    A kernel vector x of D_a has ||D_a x|| <= sqrt(psd_atol), so on a
-    dominated pair ||G x|| is at most sqrt(psd_atol) times sup ||G D_a^+||.
+    A kernel vector x of D_a has ||D_a x|| <= sqrt(psd_atol), so ||G x||
+    stays below sqrt(psd_atol) sup ||G D_a^+|| on a dominated pair.
     """
     return leak <= math.sqrt(tol.psd_atol) * math.sqrt(max(c2, 1.0))
+
+
+def _decide(a: Contraction, b: Contraction, c_last: float, tol: Tolerances):
+    """(status, method, witness, constant) of a pair past level 1.
+
+    The split runs only when an eigenvalue of a lies on the circle.  The
+    Fejer witness needs rho(a_0) < 1, so an eigenvalue of a_0 left on the
+    circle ends Inconclusive before b_0 is looked at.
+    """
+    a_mat, b_mat, basis = a.mat, b.mat, None
+    spec_a, spec_b = np.linalg.eigvals(a_mat), np.linalg.eigvals(b_mat)
+    if np.any(_on_circle(spec_a, tol)):
+        rest = reducing_unitary_part(a, tol).complement()
+        if rest.dim == 0:
+            return DOMINATED, "unitary", None, max(c_last, 1.0)
+        basis = rest.basis
+        a_mat, b_mat = compress(a_mat, rest, rest), compress(b_mat, rest, rest)
+        spec_a, spec_b = np.linalg.eigvals(a_mat), np.linalg.eigvals(b_mat)
+        if np.any(_on_circle(spec_a, tol)):
+            return INCONCLUSIVE, "symbol", None, None
+    if np.any(_on_circle(spec_b, tol)):
+        values, vectors = np.linalg.eig(b_mat)
+        y = vectors[:, int(np.argmax(np.abs(values)))]
+        return NOT_DOMINATED, "fejer", y if basis is None else basis @ y, None
+    if a_mat.shape[0] + 1 < SYMBOL_GRID:
+        leak, c2 = _symbol_sweep(a_mat, b_mat, np.concatenate([spec_a, spec_b]), tol)
+        if _no_leak(leak, c2, tol):
+            return DOMINATED, "symbol", None, max(c2, c_last)
+    return INCONCLUSIVE, "symbol", None, None
 
 
 def harnack_dominates(a: Contraction, b: Contraction,
@@ -305,21 +306,11 @@ def harnack_dominates(a: Contraction, b: Contraction,
                       full_trace: bool = False) -> HarnackVerdict:
     """Decide whether a Harnack-dominates b (Re p(b) <= c^2 Re p(a)).
 
-    Level 1 of the hierarchy runs first: whiten by the pseudoinverse
-    square root of G_a and take the top eigenvalue of the whitened G_b as
-    c_N^2; a kernel vector of G_a with Rayleigh ratio beyond big_ratio
-    certifies NotDominated exactly (method "kernel-escape").  When both
-    spectral radii are below 1 the symbol decides next: the Gram
-    hierarchy is a family of sections of the block Toeplitz operator with
-    symbol P_T = (I - zT)^{-*} D_T^2 (I - zT)^{-1}, and a block Toeplitz
-    operator is PSD exactly when its symbol is (Boettcher-Silbermann), so
-    a dominates b exactly when G(theta) vanishes on ker D_a (see
-    _symbol_sweep), with c^2 = sup ||G D_a^+||^2 (method "symbol").  All
-    other pairs, and pairs whose symbol leaks, climb the hierarchy:
-    converged constants give Dominated (never after a leak), exhausting
-    max_level without either is Inconclusive (method "hierarchy").
-    ``full_trace`` suppresses the early exits so the constant trace
-    reaches max_level; the symbol still decides the status.
+    Level 1 whitens G_b by the pseudoinverse square root of G_a: the top
+    eigenvalue is c_1^2, and a kernel vector of G_a with Rayleigh ratio
+    beyond big_ratio certifies NotDominated.  _decide then takes the steps
+    of the module docstring.  ``full_trace`` also evaluates every level of
+    the schedule up to max_level; those constants never set the status.
     """
     if a.shape != b.shape:
         raise ShapeMismatchError(f"shape mismatch {a.shape} vs {b.shape}")
@@ -327,21 +318,11 @@ def harnack_dominates(a: Contraction, b: Contraction,
         raise ValueError("harnack_dominates expects square contractions")
     d = a.dim
     if d == 0:
-        return HarnackVerdict(DOMINATED, [1.0], [1], None, 1, 0.0)
+        return HarnackVerdict(DOMINATED, [1.0], [1], None, 1, 0.0, "unitary", 1.0)
 
-    pow_a = [np.eye(d, dtype=complex)]
-    pow_b = [np.eye(d, dtype=complex)]
-    constants: list = []
-    levels: list = []
-    kernel_floor = 0.0
-    symbol = None      # (leak, c2) of the sweep, when both radii are below 1
-    symbol_c2 = None   # its constant, when G vanishes on ker D_a
-
-    def verdict(status, **kw):
-        return HarnackVerdict(status=status, constants=constants, levels=levels,
-                              kernel_floor=kernel_floor, **kw)
-
-    for level in _level_schedule(tol.max_level):
+    pow_a, pow_b = [np.eye(d, dtype=complex)], [np.eye(d, dtype=complex)]
+    constants, levels, kernel_floor = [], [], 0.0
+    for level in _level_schedule(tol.max_level) if full_trace else [1]:
         _powers(a.mat, level, pow_a)
         _powers(b.mat, level, pow_b)
         ga = _gram(pow_a, level, d)
@@ -356,7 +337,7 @@ def harnack_dominates(a: Contraction, b: Contraction,
         cut = tol.rank_rtol * max(scale, 0.0)
         keep = wa > cut
 
-        if not np.all(keep):
+        if level == 1 and not np.all(keep):
             kernel_vecs = va[:, ~keep]
             esc = herm(kernel_vecs.conj().T @ gb @ kernel_vecs)
             ew, ev = np.linalg.eigh(esc)
@@ -364,37 +345,19 @@ def harnack_dominates(a: Contraction, b: Contraction,
             cand = kernel_vecs @ ev[:, -1]
             ra = float(np.real(cand.conj() @ (ga @ cand)))
             if rb > tol.big_ratio * max(ra, 0.0) and rb > 1e-12 * max(1.0, wb_max):
-                return verdict(NOT_DOMINATED, witness=cand / np.linalg.norm(cand),
-                               levels_used=level, method="kernel-escape")
+                return HarnackVerdict(NOT_DOMINATED, constants, levels,
+                                      cand / np.linalg.norm(cand), level,
+                                      kernel_floor, "kernel-escape")
 
         inv_sqrt = np.where(keep, 1.0 / np.sqrt(np.maximum(wa, 1e-300)), 0.0)
         whiten = va * inv_sqrt
         m = herm(whiten.conj().T @ gb @ whiten)
-        c2 = float(np.linalg.eigvalsh(m)[-1])
-        constants.append(c2)
+        constants.append(float(np.linalg.eigvalsh(m)[-1]))
         levels.append(level)
 
-        if level == 1:
-            symbol = _symbol_sweep(a, b, tol)
-            if symbol is not None and _no_leak(*symbol, tol):
-                symbol_c2 = symbol[1]
-        if symbol_c2 is not None and not full_trace:
-            return verdict(DOMINATED, witness=None, levels_used=level,
-                           constant_estimate=max(symbol_c2, c2), method="symbol")
-
-        estimate = _extrapolate(levels, constants)
-        if estimate is not None and symbol is None and not full_trace:
-            return verdict(DOMINATED, witness=None, levels_used=level,
-                           constant_estimate=estimate)
-
-    if symbol_c2 is not None:
-        return verdict(DOMINATED, witness=None, levels_used=levels[-1],
-                       constant_estimate=max(symbol_c2, constants[-1]),
-                       method="symbol")
-    estimate = None if symbol is not None else _extrapolate(levels, constants)
-    return verdict(DOMINATED if estimate is not None else INCONCLUSIVE,
-                   witness=None, levels_used=levels[-1] if levels else 0,
-                   constant_estimate=estimate)
+    status, method, witness, estimate = _decide(a, b, constants[-1], tol)
+    return HarnackVerdict(status, constants, levels, witness, levels[-1],
+                          kernel_floor, method, estimate)
 
 
 @dataclass(frozen=True)
@@ -439,6 +402,19 @@ def positive_real_sample(degree: int, seed: int) -> np.ndarray:
     return coeffs
 
 
+def fejer_polynomial(mu: complex, n: int) -> np.ndarray:
+    """Coefficients of p_n(z) = 1 + 2 sum_{k=1..n} (1 - k/(n+1)) (conj(u) z)^k, u = mu/|mu|.
+
+    Re p_n(e^{i theta}) is the Fejer kernel of order n at theta - arg mu,
+    which is nonnegative, so p_n is positive-real.  For b y = mu y with
+    |mu| = 1 and ||y|| = 1, <Re p_n(b) y, y> = p_n(mu) = n + 1.
+    """
+    k = np.arange(n + 1)
+    coeffs = 2.0 * (1.0 - k / (n + 1.0)) * (np.conj(mu) / abs(mu)) ** k
+    coeffs[0] = 1.0
+    return coeffs
+
+
 def real_part_at(coeffs: np.ndarray, m) -> np.ndarray:
     """Hermitian part of p(M) for a coefficient list p."""
     mat = np.asarray(m, dtype=complex)
@@ -464,16 +440,22 @@ def harnack_falsify(a: Contraction, b: Contraction, c: float,
                     seed: int = 0) -> Optional[Counterexample]:
     """Search for a positive-real polynomial violating Re p(b) <= c Re p(a).
 
-    Returns the first counterexample found or None.  A Dominated verdict
-    with constant c^2 must survive falsification at any c above c^2.
+    Tries first the Fejer polynomial of each degree in FEJER_DEGREES at
+    each unimodular eigenvalue of b, then ``trials`` random polynomials of
+    the given degrees.  Returns the first counterexample found or None.  A
+    Dominated verdict with constant c^2 must survive falsification at any
+    c above c^2.
     """
     if a.shape != b.shape:
         raise ShapeMismatchError(f"shape mismatch {a.shape} vs {b.shape}")
     if c < 1.0:
         raise ValueError("the domination constant is at least 1")
-    for i in range(trials):
-        degree = degrees[i % len(degrees)]
-        coeffs = positive_real_sample(degree, seed + i)
+    spec_b = np.linalg.eigvals(b.mat)
+    for coeffs in itertools.chain(
+            (fejer_polynomial(mu, n) for mu in spec_b[_on_circle(spec_b, tol)]
+             for n in FEJER_DEGREES),
+            (positive_real_sample(degrees[i % len(degrees)], seed + i)
+             for i in range(trials))):
         gap = c * real_part_at(coeffs, a.mat) - real_part_at(coeffs, b.mat)
         lam = float(np.linalg.eigvalsh(gap)[0])
         if lam < -tol.psd_atol * max(1.0, op_norm(gap)):
@@ -584,8 +566,10 @@ def quasi_normal_equivalence_report(t: Contraction, t_prime: Contraction,
     Hypotheses: t* quasi-normal, t commutes with t' and with t'*t', and
     t' commutes with t t*.  Statements: (domination of t by t'), Harnack
     equivalence, Shmul'yan equivalence, intertwiner with W, and optionally
-    an explicit connecting arc.  Inconclusive Harnack verdicts count as
-    not-dominated for the agreement flag.
+    an explicit connecting arc.  A Harnack statement holds only on a
+    Dominated verdict; the rare Inconclusive one (a leaking symbol, an
+    eigenvalue of the completely non-unitary part left on the circle, or
+    d >= 127) reads as false, like NotDominated.
     """
     if t.shape != t_prime.shape or not t.is_square:
         raise ShapeMismatchError("pipeline expects equal square shapes")

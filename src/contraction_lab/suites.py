@@ -11,7 +11,7 @@ command line.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -34,6 +34,7 @@ from .harnack import (
     DOMINATED,
     NOT_DOMINATED,
     HarnackVerdict,
+    _on_circle,
     harnack_dominates,
     harnack_falsify,
     harnack_kernel,
@@ -205,26 +206,16 @@ def run_scalar_constant(cases: int = 1, seed: int = 0,
         failures.append(f"level-64 constant {c64} outside [2.9, 3.0]")
     if verdict.constant_estimate is None or \
             abs(verdict.constant_estimate - oracle) > 0.05:
-        failures.append(f"extrapolated constant {verdict.constant_estimate} "
+        failures.append(f"constant {verdict.constant_estimate} "
                         f"far from oracle {oracle}")
     return SuiteReport("scalar-constant", 1, failures,
                        details={"level_64": c64, "oracle": oracle})
 
 
-def run_partial_isometry_parts(cases: int = 200, seed: int = 104,
-                               tol: Tolerances = DEFAULT_TOL) -> SuiteReport:
-    """Parts of partial isometries: membership, factorization, hierarchy agree.
-
-    Members are U + Z with ||Z|| < 1; candidates at ||Z|| = 1 must be
-    rejected by the membership test, the Shmul'yan oracle, and (via an
-    exact kernel escape) the Harnack hierarchy; and no partial isometry
-    besides w itself may pass.
-    """
+def partial_isometry_pairs(cases: int = 200, seed: int = 104,
+                           tol: Tolerances = DEFAULT_TOL):
+    """Criterion-4 cases (i, w, part of w, [(||Z||, w + Z)] or None if degenerate)."""
     rng = np.random.default_rng(seed)
-    failures = []
-    # rejections certify by a kernel escape at level one; the accepted
-    # direction whose trace crawls gains nothing from deep levels
-    fast = replace(tol, max_level=16)
     for i in range(cases):
         d = int(rng.integers(2, 7))
         rank = int(rng.integers(1, d))
@@ -233,26 +224,49 @@ def run_partial_isometry_parts(cases: int = 200, seed: int = 104,
         part = partial_isometry_part(w, tol)
         k = part.null_in.dim
         if k == 0 or part.null_out.dim != k:
-            failures.append(f"case {i}: degenerate defect dimensions")
+            yield i, w, part, None
             continue
+        candidates = []
         for z_norm in (0.3, 0.9, 1.0):
             g = rng.standard_normal((k, k)) + 1j * rng.standard_normal((k, k))
             z = g * (z_norm / op_norm(g))
-            cand = make_contraction(
-                w.mat + part.null_out.basis @ z @ part.null_in.basis.conj().T, tol)
+            candidates.append((z_norm, make_contraction(
+                w.mat + part.null_out.basis @ z @ part.null_in.basis.conj().T, tol)))
+        yield i, w, part, candidates
+
+
+def run_partial_isometry_parts(cases: int = 200, seed: int = 104,
+                               tol: Tolerances = DEFAULT_TOL) -> SuiteReport:
+    """Parts of partial isometries: membership, factorization, Harnack agree.
+
+    Members are U + Z with ||Z|| < 1 and are Harnack equivalent to w.  At
+    ||Z|| = 1 the candidate must be rejected by the membership test and
+    the Shmul'yan oracle; it never dominates w (a kernel escape), and w
+    dominates it exactly when it has no eigenvalue on the unit circle
+    (else a Fejer witness refutes).  No partial isometry besides w itself
+    may pass.
+    """
+    failures = []
+    for i, w, part, candidates in partial_isometry_pairs(cases, seed, tol):
+        if candidates is None:
+            failures.append(f"case {i}: degenerate defect dimensions")
+            continue
+        for z_norm, cand in candidates:
             wanted = z_norm < 1.0
             mem = part.membership_test(cand)
             equiv = shmulyan_equivalent(w, cand, tol)
-            fwd = harnack_dominates(w, cand, fast)
-            bwd = harnack_dominates(cand, w, fast)
+            fwd = harnack_dominates(w, cand, tol)
+            bwd = harnack_dominates(cand, w, tol)
             _audit(fwd, failures, f"part case {i} z={z_norm} fwd")
             _audit(bwd, failures, f"part case {i} z={z_norm} bwd")
-            harnack_rejects = NOT_DOMINATED in (fwd.status, bwd.status)
+            on_circle = np.any(_on_circle(np.linalg.eigvals(cand.mat), tol))
+            expected = (DOMINATED, DOMINATED) if wanted else \
+                (NOT_DOMINATED if on_circle else DOMINATED, NOT_DOMINATED)
             if mem.member != wanted:
                 failures.append(f"case {i} z={z_norm}: membership {mem.member}")
             if equiv.equivalent != wanted:
                 failures.append(f"case {i} z={z_norm}: shmulyan {equiv.equivalent}")
-            if harnack_rejects == wanted:
+            if (fwd.status, bwd.status) != expected:
                 failures.append(
                     f"case {i} z={z_norm}: harnack ({fwd.status}, {bwd.status})")
             if wanted and z_norm > 0 and \
@@ -260,8 +274,8 @@ def run_partial_isometry_parts(cases: int = 200, seed: int = 104,
                 failures.append(f"case {i} z={z_norm}: member is a partial isometry")
         if not part.membership_test(w).member:
             failures.append(f"case {i}: w rejected from its own part")
-        other = generate(GenSpec(d, "partial_isometry", seed=13 * i + 7,
-                                 params={"rank": rank}), tol)
+        other = generate(GenSpec(w.dim, "partial_isometry", seed=13 * i + 7,
+                                 params={"rank": w.dim - part.null_in.dim}), tol)
         if op_norm(other.mat - w.mat) > 1e-6 and part.membership_test(other).member:
             failures.append(f"case {i}: another partial isometry passed")
     return SuiteReport("partial-isometry-parts", cases, failures)

@@ -14,6 +14,7 @@ import pytest
 from contraction_lab.cli import main
 from contraction_lab.corpus import GenSpec, generate
 from contraction_lab.linalg import DEFAULT_TOL, Tolerances, matrix_from_json, matrix_to_json
+from contraction_lab.suites import partial_isometry_pairs
 
 
 def write_matrix(path, mat):
@@ -41,6 +42,7 @@ def files(tmp_path):
         "half": write_matrix(tmp_path / "half.json", [[0.5]]),
         "J": write_matrix(tmp_path / "J.json", [[0, 1], [0, 0]]),
         "JZ": write_matrix(tmp_path / "JZ.json", [[0, 1], [0.5, 0]]),
+        "flip": write_matrix(tmp_path / "flip.json", [[0, 1], [1, 0]]),
         "zero2": write_matrix(tmp_path / "zero2.json", np.zeros((2, 2))),
         "tmp": tmp_path,
     }
@@ -62,6 +64,23 @@ class TestDominate:
         assert report["verdict"]["status"] == "Dominated"
         assert report["verdict"]["method"] == "symbol"
         assert report["verdict"]["constant_estimate"] == pytest.approx(3.0, rel=1e-9)
+
+    def test_harnack_fejer_witness(self, tmp_path):
+        # case 5 of the criterion-4 construction: w + Z is unitary (d = 2)
+        w, b = next((w, cands[-1][1]) for i, w, _, cands in partial_isometry_pairs()
+                    if i == 5)
+        argv = ["dominate", "--order", "harnack",
+                write_matrix(tmp_path / "w.json", w.mat),
+                write_matrix(tmp_path / "b.json", b.mat)]
+        code, report = run_cli(argv)
+        assert code == 1
+        verdict = report["verdict"]
+        assert verdict["status"] == "NotDominated" and verdict["method"] == "fejer"
+        assert verdict["levels"] == [1]
+        y = np.array(verdict["witness"]["re"]) + 1j * np.array(verdict["witness"]["im"])
+        mu = y.conj() @ b.mat @ y
+        assert abs(abs(mu) - 1.0) <= 1e-12
+        assert np.linalg.norm(b.mat @ y - mu * y) <= 1e-12
 
     def test_shmulyan_part_pair(self, files):
         code, report = run_cli(["dominate", "--order", "shmulyan",
@@ -231,6 +250,8 @@ class TestErrorsAndReproducibility:
 
         argv = ["dominate", "--order", "harnack", files["half"], files["zero"]]
         assert run_raw(argv) == run_raw(argv)
+        argv = ["dominate", "--order", "harnack", files["J"], files["flip"]]
+        assert '"fejer"' in run_raw(argv) and run_raw(argv) == run_raw(argv)
         argv = ["gen", "--kind", "generic", "--dim", "4", "--seed", "9"]
         assert run_raw(argv) == run_raw(argv)
         argv = ["arc", files["J"], files["JZ"]]

@@ -1,12 +1,12 @@
-"""Harnack Gram hierarchy, falsifier, and intertwiner factorizations."""
+"""Harnack decision path, Gram hierarchy, falsifier, and intertwiner factorizations."""
 
 import math
-from dataclasses import replace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.linalg import block_diag
 
 from contraction_lab import (
     DOMINATED,
@@ -25,9 +25,10 @@ from contraction_lab import (
 )
 from contraction_lab import harnack
 from contraction_lab.corpus import GenSpec, generate, random_unitary
-from contraction_lab.harnack import real_part_at
-from contraction_lab.linalg import DEFAULT_TOL, op_norm
+from contraction_lab.harnack import FEJER_DEGREES, fejer_polynomial, real_part_at
+from contraction_lab.linalg import DEFAULT_TOL, Subspace, op_norm
 from contraction_lab.shmulyan import partial_isometry_part
+from contraction_lab.suites import partial_isometry_pairs
 
 from conftest import scaled_contraction
 
@@ -49,13 +50,6 @@ def loop_gram(powers, level, d):
             if k != m:
                 g[k * d:(k + 1) * d, m * d:(m + 1) * d] = blk.conj().T
     return g
-
-
-def hierarchy_only(monkeypatch, a, b, tol=DEFAULT_TOL, full_trace=False):
-    """The verdict of the Gram hierarchy alone, with the symbol route off."""
-    with monkeypatch.context() as m:
-        m.setattr(harnack, "_symbol_sweep", lambda *args: None)
-        return harnack_dominates(a, b, tol, full_trace=full_trace)
 
 
 class TestKernel:
@@ -129,9 +123,12 @@ class TestDominates:
         assert v.status == DOMINATED
         assert v.constant_estimate == pytest.approx(2.0, abs=0.01)
 
-    def test_divergent_trace_is_inconclusive(self):
+    def test_unit_eigenvalue_refuted_by_fejer(self):
+        # the constant trace of 0 against 1 diverges; the eigenvalue 1 of b
+        # lies outside the (trivial) unitary part of a
         v = harnack_dominates(scalar(0.0), scalar(1.0), full_trace=True)
-        assert v.status == INCONCLUSIVE
+        assert v.status == NOT_DOMINATED and v.method == "fejer"
+        assert abs(v.witness[0]) == pytest.approx(1.0)
         assert v.constants[-1] > 10.0
 
     def test_constants_nondecreasing(self):
@@ -233,18 +230,16 @@ class TestSymbol:
         assert v.constant_estimate == pytest.approx((1 + r) / (1 - r), rel=1e-9)
         assert v.constants[-1] <= v.constant_estimate
 
-    def test_agrees_with_full_hierarchy(self, monkeypatch):
-        pairs = agreement_pairs()
+    def test_agrees_with_full_hierarchy(self):
         decided = {DOMINATED: 0, NOT_DOMINATED: 0}
-        for label, a, b in pairs:
+        for label, a, b in agreement_pairs():
             sym = harnack_dominates(a, b)
-            ref = hierarchy_only(monkeypatch, a, b, full_trace=True)
-            if ref.status == INCONCLUSIVE:
-                continue
-            decided[ref.status] += 1
-            assert sym.status == ref.status, label
+            ref = harnack_dominates(a, b, full_trace=True)
+            assert sym.status == ref.status != INCONCLUSIVE, label
+            decided[sym.status] += 1
             if sym.status == DOMINATED:
                 assert sym.method == "symbol", label
+                assert ref.levels[-1] == 64, label
                 assert sym.constant_estimate >= ref.constants[-1] * (1 - 1e-12), label
             else:
                 assert sym.method == "kernel-escape" and sym.witness is not None, label
@@ -259,32 +254,31 @@ class TestSymbol:
 
     @pytest.mark.parametrize("label", ["unitary", "u-plus-q", "u-plus-q-vs-strict",
                                        "zero-vs-one"])
-    def test_unit_circle_eigenvalue_stays_on_hierarchy(self, monkeypatch, label):
+    def test_unit_circle_eigenvalue_stays_on_hierarchy(self, label):
+        # level 1 and the split of the unitary part decide these pairs; no
+        # level of the hierarchy beyond the first is evaluated
         u_q = gen("direct_sum_U_plus_Q", 4, 2, unitary_dim=2, norm_bound=0.6)
-        a, b = {
-            "unitary": (gen("unitary", 3, 1), gen("unitary", 3, 1)),
-            "u-plus-q": (u_q, u_q),
-            "u-plus-q-vs-strict": (u_q, gen("strict", 4, 3, norm_bound=0.5)),
-            "zero-vs-one": (scalar(0.0), scalar(1.0)),
+        a, b, status, method = {
+            "unitary": (gen("unitary", 3, 1), gen("unitary", 3, 1), DOMINATED, "unitary"),
+            "u-plus-q": (u_q, u_q, DOMINATED, "symbol"),
+            "u-plus-q-vs-strict": (u_q, gen("strict", 4, 3, norm_bound=0.5),
+                                   NOT_DOMINATED, "kernel-escape"),
+            "zero-vs-one": (scalar(0.0), scalar(1.0), NOT_DOMINATED, "fejer"),
         }[label]
-        tol = replace(DEFAULT_TOL, max_level=16)
-        assert harnack._symbol_sweep(a, b, tol) is None
-        v = harnack_dominates(a, b, tol)
-        ref = hierarchy_only(monkeypatch, a, b, tol)
-        assert v.status == ref.status
-        assert v.constants == ref.constants
-        assert v.method == ("kernel-escape" if v.status == NOT_DOMINATED else "hierarchy")
-        if label != "u-plus-q-vs-strict":
-            assert v.method == "hierarchy"
+        v = harnack_dominates(a, b)
+        assert (v.status, v.method) == (status, method)
+        assert v.levels_used == 1
+        if status == DOMINATED:
+            assert v.constant_estimate == pytest.approx(1.0, rel=1e-9)
 
     def test_leak_never_dominated(self, monkeypatch):
-        # a leaking symbol forbids Dominated even where the trace converges
+        # a leaking symbol forbids Dominated, and nothing climbs past level 1
         a, b = scalar(0.5), scalar(0.0)
         assert harnack_dominates(a, b).status == DOMINATED
         monkeypatch.setattr(harnack, "_symbol_sweep", lambda *args: (1.0, 3.0))
-        v = harnack_dominates(a, b, replace(DEFAULT_TOL, max_level=16))
-        assert v.status == INCONCLUSIVE and v.method == "hierarchy"
-        assert v.levels[-1] == 16
+        v = harnack_dominates(a, b)
+        assert v.status == INCONCLUSIVE and v.method == "symbol"
+        assert v.levels == [1] and v.constant_estimate is None
 
     def test_escape_returns_before_the_sweep(self, monkeypatch):
         def no_sweep(*args):
@@ -294,6 +288,79 @@ class TestSymbol:
         v = harnack_dominates(scalar(1.0), scalar(0.0))
         assert v.status == NOT_DOMINATED and v.method == "kernel-escape"
         assert v.levels_used == 1
+
+
+def criterion_4_forward_pairs():
+    """(w, w + Z) at ||Z|| = 1 from the criterion-4 construction, by case."""
+    return {i: (w, cands[-1][1]) for i, w, _, cands in partial_isometry_pairs()
+            if cands is not None}
+
+
+def has_unimodular_eigenvalue(t):
+    return bool(np.any(1.0 - np.abs(np.linalg.eigvals(t.mat)) ** 2 <= DEFAULT_TOL.psd_atol))
+
+
+class TestSplit:
+    """Pairs with an eigenvalue on the unit circle: the unitary split decides."""
+
+    def test_criterion_4_case_5_fejer_witness(self):
+        w, b = criterion_4_forward_pairs()[5]
+        assert w.dim == 2 and has_unimodular_eigenvalue(b)
+        v = harnack_dominates(w, b)
+        assert v.status == NOT_DOMINATED and v.method == "fejer"
+        assert v.levels == [1] and v.constant_estimate is None
+        y = v.witness
+        mu = y.conj() @ b.mat @ y
+        assert np.linalg.norm(y) == pytest.approx(1.0, abs=1e-12)
+        assert abs(abs(mu) - 1.0) <= 1e-12
+        assert np.linalg.norm(b.mat @ y - mu * y) <= 1e-12
+
+    @pytest.mark.parametrize("phase", [0.0, 0.7, math.pi])
+    def test_nilpotent_against_unitary_decided_at_level_one(self, phase):
+        # J agrees with b on ker D_J, so level 1 passes; b is unitary
+        b = make_contraction([[0, 1], [np.exp(1j * phase), 0]])
+        v = harnack_dominates(J, b)
+        assert v.status == NOT_DOMINATED and v.method == "fejer"
+        assert v.levels_used == 1
+
+    @pytest.mark.parametrize("d", [3, 6, 9])
+    def test_unitary_part_leaves_the_constant(self, d):
+        # Q (U + a0) Q* against Q (U + b0) Q* has the constant of (a0, b0)
+        rng = np.random.default_rng(d)
+        k = d // 3
+        a0 = gen("strict", d - k, d, norm_bound=0.7)
+        b0 = gen("strict", d - k, d + 1, norm_bound=0.6)
+        u = random_unitary(rng, k)
+        q = random_unitary(rng, d)
+        a = make_contraction(q @ block_diag(u, a0.mat) @ q.conj().T)
+        b = make_contraction(q @ block_diag(u, b0.mat) @ q.conj().T)
+        ref = harnack_dominates(a0, b0)
+        v = harnack_dominates(a, b)
+        assert ref.status == v.status == DOMINATED
+        assert v.method == "symbol" and v.levels == [1]
+        assert v.constant_estimate == pytest.approx(ref.constant_estimate, rel=1e-9)
+
+    def test_unitary_pair_has_constant_one(self):
+        u = gen("unitary", 4, 5)
+        v = harnack_dominates(u, u)
+        assert v.status == DOMINATED and v.method == "unitary"
+        assert v.constant_estimate == pytest.approx(1.0, rel=1e-9)
+
+    def test_eigenvalue_left_on_the_circle_is_inconclusive(self, monkeypatch):
+        # a split that misses the unitary part must not end Dominated
+        u_q = gen("direct_sum_U_plus_Q", 4, 2, unitary_dim=2, norm_bound=0.6)
+        monkeypatch.setattr(harnack, "reducing_unitary_part",
+                            lambda c, tol: Subspace(c.dim, np.zeros((c.dim, 0))))
+        v = harnack_dominates(u_q, u_q)
+        assert v.status == INCONCLUSIVE and v.method == "symbol"
+
+    def test_split_is_off_the_gate_path(self, monkeypatch):
+        def no_split(*args):
+            raise AssertionError("split a pair inside the circle")
+
+        monkeypatch.setattr(harnack, "reducing_unitary_part", no_split)
+        v = harnack_dominates(scalar(0.5), scalar(0.0))
+        assert v.status == DOMINATED and v.method == "symbol"
 
 
 class TestPositiveRealSample:
@@ -342,6 +409,29 @@ class TestFalsify:
     def test_tight_constant_survives(self):
         assert harnack_falsify(scalar(0.5), scalar(0.0), 3.05,
                                trials=200, seed=5) is None
+
+    @pytest.mark.parametrize("mu", [1.0, np.exp(2.1j), -1j])
+    def test_fejer_polynomial(self, mu):
+        n = 32
+        p = fejer_polynomial(mu, n)
+        grid = np.exp(2j * np.pi * np.arange(512) / 512)
+        vals = np.polynomial.polynomial.polyval(grid, p).real
+        assert vals.min() >= -1e-12
+        assert np.polynomial.polynomial.polyval(mu, p) == pytest.approx(n + 1)
+
+    def test_fejer_ladder(self):
+        assert FEJER_DEGREES[0] == 16 and FEJER_DEGREES[-1] == 2048
+        assert all(b == 2 * a for a, b in zip(FEJER_DEGREES, FEJER_DEGREES[1:]))
+
+    def test_fejer_refutes_criterion_4_pairs(self):
+        # every ||Z|| = 1 pair whose w + Z has a unimodular eigenvalue
+        refuted = unimodular = 0
+        for w, b in criterion_4_forward_pairs().values():
+            if has_unimodular_eigenvalue(b):
+                unimodular += 1
+                refuted += harnack_falsify(w, b, 100.0) is not None
+        assert unimodular == 96
+        assert refuted == unimodular
 
     def test_dominated_verdict_consistent(self):
         a = scaled_contraction(13, 2, 0.5)
