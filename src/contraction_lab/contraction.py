@@ -9,16 +9,14 @@ import numpy as np
 
 from .linalg import (
     DEFAULT_TOL,
+    NotPSDError,
     Subspace,
     Tolerances,
     as_matrix,
     compress,
     herm,
-    kernel_of,
     op_norm,
     psd_order_leq,
-    psd_sqrt,
-    range_of,
 )
 
 __all__ = [
@@ -57,11 +55,13 @@ class NotDecomposableError(ValueError):
 
 @dataclass(frozen=True)
 class DefectData:
-    """Defect operators and the four canonical subspaces of a contraction.
+    """Defect operators, their pseudoinverses and the four canonical
+    subspaces of a contraction T = U S V*, all from that one SVD.
 
-    d_t, d_tstar       (I - T*T)^(1/2) and (I - TT*)^(1/2) on the ambient spaces
+    d_t, d_tstar        (I - T*T)^(1/2) = V r V* and (I - TT*)^(1/2) = U r U*
     defect_space(.star) closures of their ranges
     null_dt(.star)      their kernels (where T acts isometrically)
+    d_t(star)_pinv      their Moore-Penrose inverses V r^+ V* and U r^+ U*
     """
 
     d_t: np.ndarray
@@ -70,6 +70,8 @@ class DefectData:
     defect_space_star: Subspace
     null_dt: Subspace
     null_dtstar: Subspace
+    d_t_pinv: np.ndarray
+    d_tstar_pinv: np.ndarray
 
 
 class Contraction:
@@ -132,23 +134,35 @@ def make_contraction(m, tol: Tolerances = DEFAULT_TOL,
     return Contraction(a, tags)
 
 
+def _defect_side(basis: np.ndarray, roots: np.ndarray, tol: Tolerances):
+    """D = B r B*, its range, kernel and pseudoinverse for a unitary B, the
+    roots padded with ones to its width and cut as linalg._rank cuts them."""
+    n = basis.shape[1]
+    r = np.concatenate([roots, np.ones(n - roots.size)])
+    keep = r > tol.rank_rtol * r.max(initial=0.0)
+    kept = basis[:, keep]
+    return ((basis * r) @ basis.conj().T, Subspace(n, kept),
+            Subspace(n, basis[:, ~keep]), (kept / r[keep]) @ kept.conj().T)
+
+
 def defect_data(c: Contraction, tol: Tolerances = DEFAULT_TOL) -> DefectData:
-    """Defect operators D_T, D_T* with their ranges and kernels (cached)."""
+    """Defect data from one SVD of T (cached), with r = (1 - s^2)^(1/2).
+
+    1 - s^2 within psd_atol of zero is clamped to 0 and below -psd_atol
+    raises NotPSDError, as in psd_sqrt.
+    """
     cached = c._defect_cache.get(tol)
     if cached is not None:
         return cached
-    t = c.mat
-    rows, cols = t.shape
-    d_t = psd_sqrt(np.eye(cols) - t.conj().T @ t, tol)
-    d_tstar = psd_sqrt(np.eye(rows) - t @ t.conj().T, tol)
-    data = DefectData(
-        d_t=d_t,
-        d_tstar=d_tstar,
-        defect_space=range_of(d_t, tol),
-        defect_space_star=range_of(d_tstar, tol),
-        null_dt=kernel_of(d_t, tol),
-        null_dtstar=kernel_of(d_tstar, tol),
-    )
+    u, s, vh = np.linalg.svd(c.mat)
+    gap = (1.0 - s) * (1.0 + s)  # 1 - s^2 without cancellation near s = 1
+    if gap.size and gap.min() < -tol.psd_atol:
+        raise NotPSDError(f"1 - s^2 = {gap.min():.3e} below -psd_atol")
+    roots = np.sqrt(np.where(np.abs(gap) <= tol.psd_atol, 0.0, gap))
+    d_t, defect_space, null_dt, d_t_pinv = _defect_side(vh.conj().T, roots, tol)
+    d_tstar, defect_space_star, null_dtstar, d_tstar_pinv = _defect_side(u, roots, tol)
+    data = DefectData(d_t, d_tstar, defect_space, defect_space_star,
+                      null_dt, null_dtstar, d_t_pinv, d_tstar_pinv)
     c._defect_cache[tol] = data
     return data
 
@@ -211,38 +225,22 @@ class UPDecomposition:
 def up_decompose(c: Contraction, tol: Tolerances = DEFAULT_TOL) -> UPDecomposition:
     """Split c into its unitary and pure parts along the defect kernels.
 
-    For an exact contraction T always maps N(D_T) isometrically onto a
-    subspace of N(D_T*) and conversely, so the decomposition exists; the
-    NotDecomposable branch only fires on tolerance pathologies.
+    The bases of :func:`defect_data` are singular vectors of T, which maps
+    each right singular vector onto a multiple of the left one.  So T maps
+    N(D_T) isometrically onto N(D_T*) and the defect spaces into each other
+    by construction, and the NotDecomposable branch only fires when the
+    rank cuts of a rectangular T leave kernels of different dimensions.
     """
     dd = defect_data(c, tol)
-    t = c.mat
     n_in, d_in = dd.null_dt, dd.defect_space
     n_out, d_out = dd.null_dtstar, dd.defect_space_star
-
-    check_tol = 1e-7
     if n_in.dim != n_out.dim:
         raise NotDecomposableError(
             f"defect kernels have mismatched dimensions {n_in.dim} != {n_out.dim}")
-    if n_in.dim:
-        leak_fwd = op_norm(t @ n_in.basis - n_out.projector() @ (t @ n_in.basis))
-        if leak_fwd > check_tol:
-            raise NotDecomposableError(f"T leaks off N(D_T*) by {leak_fwd:.3e}")
-    if n_out.dim:
-        leak_bwd = op_norm(
-            t.conj().T @ n_out.basis - n_in.projector() @ (t.conj().T @ n_out.basis))
-        if leak_bwd > check_tol:
-            raise NotDecomposableError(f"T* leaks off N(D_T) by {leak_bwd:.3e}")
-
-    u_block = compress(t, n_out, n_in)
-    q_block = compress(t, d_out, d_in)
-    decomp = UPDecomposition(
+    return UPDecomposition(
         basis_in=(n_in, d_in), basis_out=(n_out, d_out),
-        u_block=u_block, q_block=q_block,
+        u_block=compress(c.mat, n_out, n_in), q_block=compress(c.mat, d_out, d_in),
     )
-    if op_norm(decomp.reassemble() - t) > check_tol:
-        raise NotDecomposableError("blocks do not reassemble to T")
-    return decomp
 
 
 def nearest_part_partial_isometry(c: Contraction,

@@ -101,9 +101,8 @@ class SchurPoly:
         return poly_value(self.coeffs, lam)
 
     def is_schur_class(self, tol: Tolerances = DEFAULT_TOL) -> bool:
-        """Grid values stay inside the ball (maximum principle)."""
-        _, lam = unit_circle(tol.grid_points)
-        return float(poly_norms(self.coeffs, lam).max()) <= 1.0 + tol.contraction_slack
+        """The certified sup-norm stays inside the ball (maximum principle)."""
+        return self.sup_norm_estimate <= 1.0 + tol.contraction_slack
 
 
 def _certified_sup(coeffs, tol: Tolerances):

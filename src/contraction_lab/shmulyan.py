@@ -33,11 +33,11 @@ from .linalg import (
     ShapeMismatchError,
     Subspace,
     Tolerances,
+    _rank,
+    _svd,
     compress,
     herm,
     op_norm,
-    pinv,
-    psd_sqrt,
     range_of,
 )
 # circle_max_norm is unused here; perfbench/spans.py checks that this binding
@@ -104,21 +104,18 @@ class ShmulyanVerdict:
     marginal: bool
 
 
-def _two_sided_solve(left: np.ndarray, mid: np.ndarray, right: np.ndarray,
-                     tol: Tolerances):
-    """Minimal-norm X with mid = left @ X @ right, plus its residual."""
-    x = pinv(left, tol) @ mid @ pinv(right, tol)
-    resid = op_norm(mid - left @ x @ right)
-    return x, resid
+def _two_sided_solve(left, left_pinv, mid, right, right_pinv):
+    """Minimal-norm X with mid = left @ X @ right, its residual, and the
+    residual bound ROUTE_RTOL * max(1, ||mid||) of the factorization routes."""
+    x = left_pinv @ mid @ right_pinv
+    return x, op_norm(mid - left @ x @ right), ROUTE_RTOL * max(1.0, op_norm(mid))
 
 
 def _factor_route(b: Contraction, a: Contraction, tol: Tolerances):
-    """Minimal-norm X with b - a = D_{a*} X D_a, its residual and the
-    residual bound of the deciding defect-factor route."""
+    """Minimal-norm X with b - a = D_{a*} X D_a, its residual and bound."""
     dd = defect_data(a, tol)
-    diff = b.mat - a.mat
-    x, res_x = _two_sided_solve(dd.d_tstar, diff, dd.d_t, tol)
-    return x, res_x, ROUTE_RTOL * max(1.0, op_norm(diff))
+    return _two_sided_solve(dd.d_tstar, dd.d_tstar_pinv, b.mat - a.mat,
+                            dd.d_t, dd.d_t_pinv)
 
 
 def _factor_dominates(b: Contraction, a: Contraction, tol: Tolerances) -> bool:
@@ -143,8 +140,7 @@ def shmulyan_dominates(b: Contraction, a: Contraction,
     feasible_factor = res_x <= bound
 
     gram = np.eye(a.shape[1], dtype=complex) - b.mat.conj().T @ a.mat
-    bound_y = ROUTE_RTOL * max(1.0, op_norm(gram))
-    y, res_y = _two_sided_solve(dd.d_t, gram, dd.d_t, tol)
+    y, res_y, bound_y = _two_sided_solve(dd.d_t, dd.d_t_pinv, gram, dd.d_t, dd.d_t_pinv)
     feasible_gram = res_y <= bound_y
 
     # radius_search starts with the circle |eps| = RADIUS_FLOOR and returns 0
@@ -206,14 +202,15 @@ def shmulyan_equivalent(a: Contraction, b: Contraction,
     if equivalent:
         dd_a = defect_data(a, tol)
         dd_b = defect_data(b, tol)
-        diff = b.mat - a.mat
-        x_tilde, res_xt = _two_sided_solve(dd_b.d_tstar, diff, dd_a.d_t, tol)
+        x_tilde, res_xt, bound_xt = _two_sided_solve(
+            dd_b.d_tstar, dd_b.d_tstar_pinv, b.mat - a.mat, dd_a.d_t, dd_a.d_t_pinv)
         gram = np.eye(a.shape[1], dtype=complex) - a.mat.conj().T @ b.mat
-        y_tilde, res_yt = _two_sided_solve(dd_a.d_t, gram, dd_b.d_t, tol)
+        y_tilde, res_yt, bound_yt = _two_sided_solve(
+            dd_a.d_t, dd_a.d_t_pinv, gram, dd_b.d_t, dd_b.d_t_pinv)
         mixed = {"x_tilde": res_xt, "y_tilde": res_yt}
-        if res_xt > ROUTE_RTOL * max(1.0, op_norm(diff)):
+        if res_xt > bound_xt:
             x_tilde = None
-        if res_yt > ROUTE_RTOL * max(1.0, op_norm(gram)):
+        if res_yt > bound_yt:
             y_tilde = None
     return ShmulyanEquivalence(
         a_dominates_b=fwd,
@@ -252,12 +249,13 @@ def partial_isometry_part(w: Contraction,
                           tol: Tolerances = DEFAULT_TOL) -> PartDescription:
     if "partial_isometry" not in classify(w, tol):
         raise NotPartialIsometryError("operator is not a partial isometry")
-    from .linalg import kernel_of  # local import keeps module header lean
-
-    range_in = range_of(w.mat.conj().T, tol)
-    null_in = kernel_of(w.mat, tol)
-    range_out = range_of(w.mat, tol)
-    null_out = kernel_of(w.mat.conj().T, tol)
+    # the rank cut, not the defect clamp: classify admits 1 - s^2 up to
+    # about PREDICATE_RTOL, above psd_atol
+    u, s, vh = _svd(w.mat)
+    k = _rank(s, tol)
+    rows, cols = w.shape
+    range_in, null_in = Subspace(cols, vh[:k].conj().T), Subspace(cols, vh[k:].conj().T)
+    range_out, null_out = Subspace(rows, u[:, :k]), Subspace(rows, u[:, k:])
     u_block = compress(w.mat, range_out, range_in)
 
     def membership(c: Contraction) -> Membership:
@@ -365,8 +363,7 @@ def quasi_isometry_criterion(t: Contraction, t_prime: Contraction,
     leak = op_norm(compress(t_prime.mat, h1, h0))
     invariance = leak <= ROUTE_RTOL
 
-    d_r = psd_sqrt(np.eye(h1.dim, dtype=complex) - r.conj().T @ r, tol)
-    range_dr = range_of(d_r, tol)
+    range_dr = defect_data(Contraction(r), tol).defect_space
     range_qp = range_of(q_p, tol)
     # embed h1-coordinate subspaces into the ambient space
     amb = h1.ambient_dim

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 
 from contraction_lab import (
+    Contraction,
     NotAContractionError,
     classify,
     defect_data,
@@ -13,7 +14,18 @@ from contraction_lab import (
     ttstar_power_limit,
     up_decompose,
 )
-from contraction_lab.linalg import DEFAULT_TOL, Tolerances, op_norm
+from contraction_lab import shmulyan
+from contraction_lab.corpus import KINDS, GenSpec, generate, random_unitary
+from contraction_lab.linalg import (
+    DEFAULT_TOL,
+    NotPSDError,
+    Tolerances,
+    kernel_of,
+    op_norm,
+    pinv,
+    psd_sqrt,
+    range_of,
+)
 
 from conftest import rng_matrix, square_contractions
 
@@ -81,6 +93,99 @@ class TestDefectData:
     def test_defect_space_complements_kernel(self, c):
         dd = defect_data(c)
         assert dd.defect_space.dim + dd.null_dt.dim == c.dim
+
+
+def reference_defect_data(t, tol):
+    """The defect data of psd_sqrt of I - T*T and I - TT*, then pinv,
+    range_of and kernel_of of each root: eight factorizations."""
+    rows, cols = t.shape
+    out = []
+    for root in (psd_sqrt(np.eye(cols) - t.conj().T @ t, tol),
+                 psd_sqrt(np.eye(rows) - t @ t.conj().T, tol)):
+        out.append((root, pinv(root, tol), range_of(root, tol), kernel_of(root, tol)))
+    return out
+
+
+def near_isometric_diag(gap):
+    """diag(s, 0.5) with 1 - s^2 = gap."""
+    return np.diag([np.sqrt(1.0 - gap), 0.5]).astype(complex)
+
+
+def reference_cases():
+    for kind in KINDS:
+        for d in (1, 4, 16, 32):
+            made = generate(GenSpec(dim=d, kind=kind, seed=d))
+            for i, c in enumerate(made if isinstance(made, tuple) else (made,)):
+                yield f"{kind}-{d}-{i}", c.mat, DEFAULT_TOL
+    rng = np.random.default_rng(5)
+    co = random_unitary(rng, 3) @ np.eye(3, 5) @ random_unitary(rng, 5)
+    yield "coisometry-3x5", co, DEFAULT_TOL
+    yield "isometry-5x3", co.conj().T, DEFAULT_TOL
+    g = rng_matrix(6, 3, 5)
+    yield "random-3x5", 0.9 * g / op_norm(g), DEFAULT_TOL
+    yield "random-5x3", 0.9 * g.conj().T / op_norm(g), DEFAULT_TOL
+    yield "empty-0x3", np.zeros((0, 3), dtype=complex), DEFAULT_TOL
+    yield "unitary", random_unitary(rng, 5), DEFAULT_TOL
+    yield "nilpotent", generate(GenSpec(dim=5, kind="nilpotent_shift", seed=0,
+                                        params={"lam": 1.0})).mat, DEFAULT_TOL
+    atol = DEFAULT_TOL.psd_atol
+    for factor in (0.5, 2.0, -0.5):  # -0.5: slightly above norm one, clamped
+        yield f"gap-{factor}-psd_atol", near_isometric_diag(factor * atol), DEFAULT_TOL
+    # a root of 3e-5 is kept by the clamp and dropped by the rank cut
+    yield "rank-rtol-1e-4", near_isometric_diag(1e-9), Tolerances(rank_rtol=1e-4)
+
+
+class TestDefectDataReference:
+    @pytest.mark.parametrize("t, tol", [pytest.param(t, tol, id=name)
+                                        for name, t, tol in reference_cases()])
+    def test_matches_separate_factorizations(self, t, tol):
+        dd = defect_data(Contraction(t), tol)
+        ref = reference_defect_data(t, tol)
+        got = [(dd.d_t, dd.d_t_pinv, dd.defect_space, dd.null_dt),
+               (dd.d_tstar, dd.d_tstar_pinv, dd.defect_space_star, dd.null_dtstar)]
+        for (root, inv, space, null), (r_root, r_inv, r_space, r_null) in zip(got, ref):
+            assert space.equals(r_space) and null.equals(r_null)
+            assert op_norm(root - r_root) <= 1e-12
+            assert op_norm(inv - r_inv) <= 1e-9 * op_norm(r_inv)
+
+    def test_clamp_and_rank_cut(self):
+        atol = DEFAULT_TOL.psd_atol
+        assert defect_data(Contraction(near_isometric_diag(0.5 * atol))).null_dt.dim == 1
+        assert defect_data(Contraction(near_isometric_diag(2.0 * atol))).null_dt.dim == 0
+        cut = defect_data(Contraction(near_isometric_diag(1e-9)), Tolerances(rank_rtol=1e-4))
+        assert cut.null_dt.dim == 1 and cut.d_t[0, 0] > 0.0
+
+    def test_beyond_the_clamp_is_not_psd(self):
+        t = near_isometric_diag(-2.0 * DEFAULT_TOL.psd_atol)
+        with pytest.raises(NotPSDError):
+            reference_defect_data(t, DEFAULT_TOL)
+        with pytest.raises(NotPSDError):
+            defect_data(Contraction(t))
+
+
+def count_factorizations(monkeypatch):
+    counts = {"svd": 0, "eigh": 0}
+    for name in counts:
+        def counted(*args, _real=getattr(np.linalg, name), _name=name, **kwargs):
+            counts[_name] += 1
+            return _real(*args, **kwargs)
+        monkeypatch.setattr(np.linalg, name, counted)
+    return counts
+
+
+class TestOneFactorization:
+    def test_defect_data_takes_one_svd(self, monkeypatch):
+        c = generate(GenSpec(dim=8, kind="partial_isometry", seed=1, params={"rank": 4}))
+        counts = count_factorizations(monkeypatch)
+        defect_data(c)
+        assert counts == {"svd": 1, "eigh": 0}
+
+    def test_factor_decision_takes_one_svd(self, monkeypatch):
+        a = generate(GenSpec(dim=8, kind="partial_isometry", seed=1, params={"rank": 4}))
+        b = generate(GenSpec(dim=8, kind="strict", seed=2))
+        counts = count_factorizations(monkeypatch)
+        assert not shmulyan._factor_dominates(b, a, DEFAULT_TOL)
+        assert counts == {"svd": 1, "eigh": 0}
 
 
 class TestClassify:

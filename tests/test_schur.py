@@ -96,6 +96,15 @@ class TestSupNorm:
         assert flat.sup_norm_estimate - 1.0 > schur.SUP_GAP
         assert schur_poly([np.array([[0.3]]), np.array([[0.4]])]).method == "grid"
 
+    def test_schur_class_reads_the_certified_bound(self):
+        # z^16 aliases to 1 on a 16-point grid, so every grid value of
+        # 0.6 - 0.6 z^16 is 0, while its sup over the circle is 1.2
+        tol = Tolerances(grid_points=16)
+        f = schur_poly([0.6] + [0.0] * 15 + [-0.6], tol)
+        assert f.sup_norm_estimate >= 1.2
+        assert not f.is_schur_class(tol)
+        assert schur_poly([0.6, 0.3], tol).is_schur_class(tol)
+
     def test_flat_affine_arc_is_whitened(self):
         # the grid alone spends its budget on this arc and stays above 1;
         # the whitened numerical radius proves sup = 1

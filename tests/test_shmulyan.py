@@ -13,7 +13,7 @@ from contraction_lab import (
 )
 from contraction_lab.corpus import GenSpec, generate, random_unitary
 from contraction_lab.harnack import NOT_DOMINATED, harnack_dominates
-from contraction_lab.linalg import DEFAULT_TOL, op_norm, pinv, rank_of
+from contraction_lab.linalg import DEFAULT_TOL, kernel_of, op_norm, range_of, rank_of
 from contraction_lab.shmulyan import (
     IncompatibleSplitsError,
     NotPartialIsometryError,
@@ -108,7 +108,7 @@ class TestWitness:
         assert v.witness.base is None and v.witness.flags.owndata
         # the same floats as the first column of vh*
         dd = defect_data(a)
-        x = pinv(dd.d_tstar) @ (b.mat - a.mat) @ pinv(dd.d_t)
+        x = dd.d_tstar_pinv @ (b.mat - a.mat) @ dd.d_t_pinv
         _, _, vh = np.linalg.svd(b.mat - a.mat - dd.d_tstar @ x @ dd.d_t)
         assert np.array_equal(v.witness, vh.conj().T[:, 0])
 
@@ -215,6 +215,19 @@ class TestPartialIsometryPart:
                 w.mat + part.null_out.basis @ z @ part.null_in.basis.conj().T)
             assert part.membership_test(cand).member == \
                 shmulyan_equivalent(w, cand).equivalent == (z_norm < 1)
+
+    @pytest.mark.parametrize("d", [1, 4, 9])
+    def test_subspaces_are_ranges_and_kernels(self, d):
+        ws = [make_contraction(np.zeros((d, d)))]
+        ws += [generate(GenSpec(dim=d, kind="partial_isometry", seed=rank,
+                                params={"rank": rank})) for rank in range(1, d + 1)]
+        for rank, w in enumerate(ws):
+            part = partial_isometry_part(w)
+            assert part.range_in.dim == rank
+            assert part.range_in.equals(range_of(w.mat.conj().T))
+            assert part.null_in.equals(kernel_of(w.mat))
+            assert part.range_out.equals(range_of(w.mat))
+            assert part.null_out.equals(kernel_of(w.mat.conj().T))
 
 
 class TestColumnCriterion:
