@@ -9,9 +9,9 @@ import numpy as np
 
 from .linalg import (
     DEFAULT_TOL,
-    NotPSDError,
     Subspace,
     Tolerances,
+    _defect_roots,
     as_matrix,
     compress,
     herm,
@@ -134,33 +134,23 @@ def make_contraction(m, tol: Tolerances = DEFAULT_TOL,
     return Contraction(a, tags)
 
 
-def _defect_side(basis: np.ndarray, roots: np.ndarray, tol: Tolerances):
-    """D = B r B*, its range, kernel and pseudoinverse for a unitary B, the
-    roots padded with ones to its width and cut as linalg._rank cuts them."""
+def _defect_side(basis: np.ndarray, r: np.ndarray, keep: np.ndarray):
+    """D = B r B*, its range, kernel and pseudoinverse (r: linalg._defect_roots)."""
     n = basis.shape[1]
-    r = np.concatenate([roots, np.ones(n - roots.size)])
-    keep = r > tol.rank_rtol * r.max(initial=0.0)
     kept = basis[:, keep]
     return ((basis * r) @ basis.conj().T, Subspace(n, kept),
             Subspace(n, basis[:, ~keep]), (kept / r[keep]) @ kept.conj().T)
 
 
 def defect_data(c: Contraction, tol: Tolerances = DEFAULT_TOL) -> DefectData:
-    """Defect data from one SVD of T (cached), with r = (1 - s^2)^(1/2).
-
-    1 - s^2 within psd_atol of zero is clamped to 0 and below -psd_atol
-    raises NotPSDError, as in psd_sqrt.
-    """
+    """Defect data from one SVD of T (cached), with r = (1 - s^2)^(1/2)."""
     cached = c._defect_cache.get(tol)
     if cached is not None:
         return cached
     u, s, vh = np.linalg.svd(c.mat)
-    gap = (1.0 - s) * (1.0 + s)  # 1 - s^2 without cancellation near s = 1
-    if gap.size and gap.min() < -tol.psd_atol:
-        raise NotPSDError(f"1 - s^2 = {gap.min():.3e} below -psd_atol")
-    roots = np.sqrt(np.where(np.abs(gap) <= tol.psd_atol, 0.0, gap))
-    d_t, defect_space, null_dt, d_t_pinv = _defect_side(vh.conj().T, roots, tol)
-    d_tstar, defect_space_star, null_dtstar, d_tstar_pinv = _defect_side(u, roots, tol)
+    side_in, side_out = _defect_roots(s, tol, vh.shape[0], u.shape[0])
+    d_t, defect_space, null_dt, d_t_pinv = _defect_side(vh.conj().T, *side_in)
+    d_tstar, defect_space_star, null_dtstar, d_tstar_pinv = _defect_side(u, *side_out)
     data = DefectData(d_t, d_tstar, defect_space, defect_space_star,
                       null_dt, null_dtstar, d_t_pinv, d_tstar_pinv)
     c._defect_cache[tol] = data

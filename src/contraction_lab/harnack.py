@@ -6,8 +6,12 @@ Gram matrices G (block (m, n) = T^(n-m) for n >= m, adjoint below), the
 Gram matrices of the minimal isometric dilation vectors.  One path decides
 every pair:
 
-1. Level 1 certifies failure exactly when a kernel vector of G_t escapes
-   the kernel of G_{t'} (method "kernel-escape"); else t' = t on ker D_t.
+1. Level 1: G_t = P = [[I, t], [t*, I]] and G_{t'} = P + N + N* with
+   N = [[0, t' - t], [0, 0]].  On a kernel vector [u_i; -v_i] / sqrt(2) of
+   P, G_{t'} is at least ||(t' - t) v_i||^2 / 2, as t' is a contraction.
+   So level 1 fails exactly when segments._kernel_leak finds t' - t leaking
+   onto ker D_t (method "kernel-escape"); else t' = t there, and c_1^2 =
+   1 + lambda_max(A + A*), A of segments._whitened, from one SVD of t.
 2. A finite-dimensional contraction is U + t_0 with U unitary and
    rho(t_0) < 1 (Sz.-Nagy-Foias, Harmonic Analysis of Operators on
    Hilbert Space, Thm I.3.2).  U acts on a part of ker D_t, so after
@@ -26,9 +30,9 @@ every pair:
    "symbol"), and the reported constant is a sampled maximum, a lower
    bound of c^2, not a certified upper bound.
 
-A leaking symbol, or an eigenvalue near the circle that the split did not
-remove, ends Inconclusive, never Dominated.  Deeper levels of the hierarchy
-run only on request (``full_trace``), as an audit of the constant trace.
+An eigenvalue near the circle that the split did not remove ends
+Inconclusive, never Dominated.  The Gram matrices themselves are built only
+on request (``full_trace``), as an audit of the constant trace.
 
 Direction convention, used consistently across this module:
 ``harnack_dominates(a, b)`` asks whether **a dominates b**, and
@@ -49,16 +53,14 @@ from .asymptotics import reducing_unitary_part
 from .contraction import Contraction, defect_data
 from .linalg import (
     DEFAULT_TOL,
-    DouglasInfeasibleError,
     ShapeMismatchError,
     Tolerances,
-    _psd_eigh,
+    _defect_roots,
     compress,
-    douglas_solve,
     herm,
     op_norm,
 )
-from .segments import unit_circle
+from .segments import _kernel_leak, _whitened, unit_circle
 
 __all__ = [
     "DOMINATED",
@@ -169,13 +171,13 @@ class HarnackVerdict:
     constants          level constants c_N^2 (nondecreasing by nesting),
                        of level 1 only unless full_trace asked for more
     levels             the levels at which they were evaluated
-    witness            when not dominated: the escaping level-1 kernel vector
-                       of G_a, or a unit y with b y = mu y, |mu| = 1 ("fejer")
+    witness            when not dominated: a unit y in ker D_a attaining the
+                       leak, or a unit y with b y = mu y, |mu| = 1 ("fejer")
     constant_estimate  the constant when dominated, never below the last
                        level constant: 1 on a unitary pair, else the sampled
                        max_theta ||G(theta) D_a^+||^2 of the non-unitary
                        blocks, a lower bound of c^2
-    kernel_floor       most negative normalized Gram eigenvalue seen
+    kernel_floor       most negative normalized Gram eigenvalue (full_trace)
     method             "kernel-escape", "fejer", "unitary" or "symbol"; an
                        Inconclusive verdict carries "symbol"
     """
@@ -199,50 +201,36 @@ def _on_circle(spectrum: np.ndarray, tol: Tolerances) -> np.ndarray:
     return 1.0 - np.abs(spectrum) ** 2 <= tol.psd_atol
 
 
-def _symbol_sweep(a: np.ndarray, b: np.ndarray, spectra: np.ndarray,
-                  tol: Tolerances):
-    """Leak and constant of G(theta) = D_b (I - z b)^{-1} (I - z a), z = e^{-i theta}.
+def _symbol_sweep(a: np.ndarray, b: np.ndarray, svd_a, spectra: np.ndarray,
+                  tol: Tolerances) -> float:
+    """Constant of G(theta) = D_b (I - z b)^{-1} (I - z a), z = e^{-i theta}.
 
     Both spectral radii must lie below 1, where the symbol is a continuous
-    function; ``spectra`` holds the eigenvalues of a and b.  Returns
-    (leak, c2): the sweep points are the uniform grid plus the eigen-angles
-    of a and b, leak = max ||G K|| over them, K = ker D_a, and c2 = max
-    ||G D_a^+||^2 over them and a golden-section search around the two
-    best of them.  G K is a rational function whose numerator
-    D_b adj(I - z b)(I - z a) K has degree at most d in z, so it vanishes
-    identically when it vanishes on the SYMBOL_GRID > d + 1 grid points.
-    Level 1 escapes exactly when b differs from a on K; otherwise
-    (I - z a) K = (I - z b) K and G K = D_b K = 0, so after level 1 the
-    leak is a check on rounding.  Norms are unitarily invariant, so D_b
-    enters as diag(sqrt w_b) V_b* and D_a^+ as its range part
-    V_r diag(1/sqrt w_r), each from one clamped eigendecomposition.
+    function; ``spectra`` holds the eigenvalues of a and b.  Returns c2 =
+    max ||G D_a^+||^2 over the uniform grid plus the eigen-angles of a and
+    b, and a golden-section search around the two best of them.  G = D_b
+    = 0 on ker D_a, where level 1 found b = a.  Norms are unitarily
+    invariant, so D_b enters as diag(r_b) V_b* and D_a^+ as V_r diag(1/r),
+    from ``svd_a`` and one SVD of b.
     """
     d = a.shape[0]
     eye = np.eye(d, dtype=complex)
-    wa, va = _psd_eigh(eye - a.conj().T @ a, tol)
-    wb, vb = _psd_eigh(eye - b.conj().T @ b, tol)
-    kernel = wa == 0.0
-    pinv_cols = va[:, ~kernel] / np.sqrt(wa[~kernel])
-    left = np.sqrt(wb)[:, None] * vb.conj().T
+    _, s_a, vh_a = svd_a
+    [(r_a, keep)] = _defect_roots(s_a, tol, d)
+    _, s_b, vh_b = np.linalg.svd(b)
+    [(r_b, _)] = _defect_roots(s_b, tol, d)
+    pinv_cols = vh_a[keep].conj().T / r_a[keep]  # >= 1 column: a is no isometry
+    left = r_b[:, None] * vh_b
 
-    def symbol(theta, cols):
-        """G(theta) @ cols for every angle, stacked."""
+    def value(theta):
+        """||G(theta) D_a^+||^2 at every angle."""
         z = np.exp(-1j * theta)[:, None, None]
-        return left @ np.linalg.solve(eye - z * b, cols - z * (a @ cols))
-
-    def top_sv(stack):
-        return np.linalg.svd(stack, compute_uv=False)[:, 0]
+        g = left @ np.linalg.solve(eye - z * b, pinv_cols - z * (a @ pinv_cols))
+        return np.linalg.svd(g, compute_uv=False)[:, 0] ** 2
 
     grid, _ = unit_circle(SYMBOL_GRID)
     theta = np.concatenate([grid, np.mod(np.angle(spectra), 2.0 * np.pi)])
-    g = symbol(theta, np.concatenate([pinv_cols, va[:, kernel]], axis=1))
-    rank = pinv_cols.shape[1]  # >= 1: below the circle a is no isometry
-    c2 = top_sv(g[:, :, :rank]) ** 2
-    leak = float(top_sv(g[:, :, rank:]).max()) if rank < d else 0.0
-
-    def value(x):
-        return top_sv(symbol(x, pinv_cols)) ** 2
-
+    c2 = value(theta)
     best = float(c2.max())
     # golden-section search on [t - h, t + h] around the two best points
     h = 2.0 * np.pi / SYMBOL_GRID
@@ -259,25 +247,15 @@ def _symbol_sweep(a: np.ndarray, b: np.ndarray, spectra: np.ndarray,
             np.where(right, lo + ratio * (hi - lo), x1)
         fnew = value(np.where(right, x2, x1))
         f1, f2 = np.where(right, f2, fnew), np.where(right, fnew, f1)
-    best = max(best, float(f1.max()), float(f2.max()))
-    return leak, best
+    return max(best, float(f1.max()), float(f2.max()))
 
 
-def _no_leak(leak: float, c2: float, tol: Tolerances) -> bool:
-    """G vanishes on ker D_a up to the clamp scale of D_a.
-
-    A kernel vector x of D_a has ||D_a x|| <= sqrt(psd_atol), so ||G x||
-    stays below sqrt(psd_atol) sup ||G D_a^+|| on a dominated pair.
-    """
-    return leak <= math.sqrt(tol.psd_atol) * math.sqrt(max(c2, 1.0))
-
-
-def _decide(a: Contraction, b: Contraction, c_last: float, tol: Tolerances):
+def _decide(a: Contraction, b: Contraction, svd_a, c_last: float, tol: Tolerances):
     """(status, method, witness, constant) of a pair past level 1.
 
-    The split runs only when an eigenvalue of a lies on the circle.  The
-    Fejer witness needs rho(a_0) < 1, so an eigenvalue of a_0 left on the
-    circle ends Inconclusive before b_0 is looked at.
+    The split (after which a_0 takes its own SVD) runs only when an
+    eigenvalue of a lies on the circle.  The Fejer witness needs rho(a_0) <
+    1, so an eigenvalue of a_0 left on the circle ends Inconclusive first.
     """
     a_mat, b_mat, basis = a.mat, b.mat, None
     spec_a, spec_b = np.linalg.eigvals(a_mat), np.linalg.eigvals(b_mat)
@@ -287,6 +265,7 @@ def _decide(a: Contraction, b: Contraction, c_last: float, tol: Tolerances):
             return DOMINATED, "unitary", None, max(c_last, 1.0)
         basis = rest.basis
         a_mat, b_mat = compress(a_mat, rest, rest), compress(b_mat, rest, rest)
+        svd_a = None
         spec_a, spec_b = np.linalg.eigvals(a_mat), np.linalg.eigvals(b_mat)
         if np.any(_on_circle(spec_a, tol)):
             return INCONCLUSIVE, "symbol", None, None
@@ -295,10 +274,33 @@ def _decide(a: Contraction, b: Contraction, c_last: float, tol: Tolerances):
         y = vectors[:, int(np.argmax(np.abs(values)))]
         return NOT_DOMINATED, "fejer", y if basis is None else basis @ y, None
     if a_mat.shape[0] + 1 < SYMBOL_GRID:
-        leak, c2 = _symbol_sweep(a_mat, b_mat, np.concatenate([spec_a, spec_b]), tol)
-        if _no_leak(leak, c2, tol):
-            return DOMINATED, "symbol", None, max(c2, c_last)
+        c2 = _symbol_sweep(a_mat, b_mat, np.linalg.svd(a_mat) if svd_a is None else svd_a,
+                           np.concatenate([spec_a, spec_b]), tol)
+        return DOMINATED, "symbol", None, max(c2, c_last)
     return INCONCLUSIVE, "symbol", None, None
+
+
+def _hierarchy(a: np.ndarray, b: np.ndarray, tol: Tolerances):
+    """(constants, levels, kernel_floor) of the Gram hierarchy up to max_level,
+    the audit of ``full_trace``: c_N^2 is the top eigenvalue of G_b whitened
+    by G_a^{+1/2}."""
+    d = a.shape[0]
+    pow_a, pow_b = [np.eye(d, dtype=complex)], [np.eye(d, dtype=complex)]
+    constants, levels, kernel_floor = [], [], 0.0
+    for level in _level_schedule(tol.max_level):
+        _powers(a, level, pow_a)
+        _powers(b, level, pow_b)
+        ga = _gram(pow_a, level, d)
+        gb = _gram(pow_b, level, d)
+        wa, va = np.linalg.eigh(herm(ga))
+        wb = np.linalg.eigvalsh(herm(gb))
+        kernel_floor = min(kernel_floor, float(wa[0]) / max(1.0, float(wa[-1])),
+                           float(wb[0]) / max(1.0, float(wb[-1])))
+        keep = wa > tol.rank_rtol * max(float(wa[-1]), 0.0)
+        whiten = va[:, keep] / np.sqrt(wa[keep])
+        constants.append(float(np.linalg.eigvalsh(herm(whiten.conj().T @ gb @ whiten))[-1]))
+        levels.append(level)
+    return constants, levels, kernel_floor
 
 
 def harnack_dominates(a: Contraction, b: Contraction,
@@ -306,11 +308,10 @@ def harnack_dominates(a: Contraction, b: Contraction,
                       full_trace: bool = False) -> HarnackVerdict:
     """Decide whether a Harnack-dominates b (Re p(b) <= c^2 Re p(a)).
 
-    Level 1 whitens G_b by the pseudoinverse square root of G_a: the top
-    eigenvalue is c_1^2, and a kernel vector of G_a with Rayleigh ratio
-    beyond big_ratio certifies NotDominated.  _decide then takes the steps
-    of the module docstring.  ``full_trace`` also evaluates every level of
-    the schedule up to max_level; those constants never set the status.
+    Step 1 of the module docstring, then _decide.  A kernel escape has as
+    witness a unit y in ker D_a with ||(b - a) y|| the leak.  ``full_trace``
+    replaces c_1^2 by the Gram constants of every level up to max_level;
+    they never set the status.
     """
     if a.shape != b.shape:
         raise ShapeMismatchError(f"shape mismatch {a.shape} vs {b.shape}")
@@ -320,42 +321,23 @@ def harnack_dominates(a: Contraction, b: Contraction,
     if d == 0:
         return HarnackVerdict(DOMINATED, [1.0], [1], None, 1, 0.0, "unitary", 1.0)
 
-    pow_a, pow_b = [np.eye(d, dtype=complex)], [np.eye(d, dtype=complex)]
-    constants, levels, kernel_floor = [], [], 0.0
-    for level in _level_schedule(tol.max_level) if full_trace else [1]:
-        _powers(a.mat, level, pow_a)
-        _powers(b.mat, level, pow_b)
-        ga = _gram(pow_a, level, d)
-        gb = _gram(pow_b, level, d)
-        wa, va = np.linalg.eigh(herm(ga))
-        wb = np.linalg.eigvalsh(herm(gb))
-        wb_max = float(wb[-1])
-        scale = float(wa[-1])
-        kernel_floor = min(kernel_floor,
-                           float(wa[0]) / max(1.0, scale),
-                           float(wb[0]) / max(1.0, wb_max))
-        cut = tol.rank_rtol * max(scale, 0.0)
-        keep = wa > cut
+    svd = np.linalg.svd(a.mat)
+    [(_, keep)] = _defect_roots(svd[1], tol, d)
+    diff = b.mat - a.mat
+    kernel = svd[2].conj().T[:, ~keep]  # defect_data(a).null_dt.basis
+    leak, bound = _kernel_leak(diff, kernel)
+    if leak > bound:
+        _, _, vh = np.linalg.svd(diff @ kernel)
+        return HarnackVerdict(NOT_DOMINATED, [], [], kernel @ vh[0].conj(), 1, 0.0,
+                              "kernel-escape")
+    if full_trace:
+        constants, levels, kernel_floor = _hierarchy(a.mat, b.mat, tol)
+    else:
+        (whitened,) = _whitened(svd[1], keep, svd[0].conj().T @ diff @ svd[2].conj().T)
+        constants = [1.0 + float(np.linalg.eigvalsh(whitened + whitened.conj().T)[-1])]
+        levels, kernel_floor = [1], 0.0
 
-        if level == 1 and not np.all(keep):
-            kernel_vecs = va[:, ~keep]
-            esc = herm(kernel_vecs.conj().T @ gb @ kernel_vecs)
-            ew, ev = np.linalg.eigh(esc)
-            rb = float(ew[-1])
-            cand = kernel_vecs @ ev[:, -1]
-            ra = float(np.real(cand.conj() @ (ga @ cand)))
-            if rb > tol.big_ratio * max(ra, 0.0) and rb > 1e-12 * max(1.0, wb_max):
-                return HarnackVerdict(NOT_DOMINATED, constants, levels,
-                                      cand / np.linalg.norm(cand), level,
-                                      kernel_floor, "kernel-escape")
-
-        inv_sqrt = np.where(keep, 1.0 / np.sqrt(np.maximum(wa, 1e-300)), 0.0)
-        whiten = va * inv_sqrt
-        m = herm(whiten.conj().T @ gb @ whiten)
-        constants.append(float(np.linalg.eigvalsh(m)[-1]))
-        levels.append(level)
-
-    status, method, witness, estimate = _decide(a, b, constants[-1], tol)
+    status, method, witness, estimate = _decide(a, b, svd, constants[-1], tol)
     return HarnackVerdict(status, constants, levels, witness, levels[-1],
                           kernel_floor, method, estimate)
 
@@ -470,6 +452,7 @@ class IntertwinerData:
     b0 solves t - t' = B0 D_{t'}; z_partial accumulates the series
     sum_n T^n B0 B0* T*^n; when the series converges and commutes with
     T T*, w solves B0 = D_{T*} W and t = t' + D_{T*} W D_{t'} holds.
+    residual_b0 is the leak of t - t' onto N(D_{t'}).
     """
 
     b0: np.ndarray
@@ -486,21 +469,21 @@ def intertwiner_data(t: Contraction, t_prime: Contraction,
                      tol: Tolerances = DEFAULT_TOL) -> IntertwinerData:
     """Extract B0, the series Z, and (when possible) the defect factor W.
 
-    The necessary condition t = t' on N(D_{t'}) is checked first: it is
-    exactly the feasibility of the Douglas solve defining B0.
+    B0 = (t - t') D_{t'}^+ solves t - t' = B0 D_{t'} exactly when t = t' on
+    N(D_{t'}), checked first by segments._kernel_leak; W = D_{t*}^+ B0
+    solves B0 = D_{t*} W exactly when B0* does not leak onto N(D_{t*}).
     """
     if t.shape != t_prime.shape or not t.is_square:
         raise ShapeMismatchError("intertwiner_data expects equal square shapes")
     dd_p = defect_data(t_prime, tol)
     dd_t = defect_data(t, tol)
     diff = t.mat - t_prime.mat
-    try:
-        sol = douglas_solve(diff, dd_p.d_t, "right", tol)
-    except DouglasInfeasibleError as exc:
+    leak, bound = _kernel_leak(diff, dd_p.null_dt.basis)
+    if leak > bound:
         raise NecessaryConditionFailsError(
             f"t differs from t' on the defect kernel of t' "
-            f"(residual {exc.residual:.3e})") from exc
-    b0 = sol.x
+            f"(leak {leak:.3e} > {bound:.3e})")
+    b0 = diff @ dd_p.d_t_pinv
 
     term = b0 @ b0.conj().T
     z = term.copy()
@@ -524,12 +507,9 @@ def intertwiner_data(t: Contraction, t_prime: Contraction,
     w = None
     residual_w = None
     if z_commutes:
-        try:
-            wsol = douglas_solve(b0, dd_t.d_tstar, "left", tol)
-        except DouglasInfeasibleError:
-            wsol = None
-        if wsol is not None:
-            w = wsol.x
+        leak_w, bound_w = _kernel_leak(b0.conj().T, dd_t.null_dtstar.basis)
+        if leak_w <= bound_w:
+            w = dd_t.d_tstar_pinv @ b0
             residual_w = op_norm(diff - dd_t.d_tstar @ w @ dd_p.d_t)
     return IntertwinerData(
         b0=b0,
@@ -537,7 +517,7 @@ def intertwiner_data(t: Contraction, t_prime: Contraction,
         z_converged=converged,
         z_commutes=z_commutes,
         w=w,
-        residual_b0=sol.residual,
+        residual_b0=leak,
         residual_w=residual_w,
         terms=terms,
     )
@@ -567,9 +547,9 @@ def quasi_normal_equivalence_report(t: Contraction, t_prime: Contraction,
     t' commutes with t t*.  Statements: (domination of t by t'), Harnack
     equivalence, Shmul'yan equivalence, intertwiner with W, and optionally
     an explicit connecting arc.  A Harnack statement holds only on a
-    Dominated verdict; the rare Inconclusive one (a leaking symbol, an
-    eigenvalue of the completely non-unitary part left on the circle, or
-    d >= 127) reads as false, like NotDominated.
+    Dominated verdict; the rare Inconclusive one (an eigenvalue of the
+    completely non-unitary part left on the circle, or d >= 127) reads as
+    false, like NotDominated.
     """
     if t.shape != t_prime.shape or not t.is_square:
         raise ShapeMismatchError("pipeline expects equal square shapes")

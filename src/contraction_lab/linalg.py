@@ -77,7 +77,6 @@ class Tolerances:
     psd_atol           absolute eigenvalue floor for PSD checks/clamps
     conv_tol           stopping threshold for fixed-point iterations
     contraction_slack  permitted excess of an operator norm over 1
-    big_ratio          certification threshold for unbounded Rayleigh ratios
     max_level          cap on the Harnack Gram hierarchy depth
     grid_points        circle-sampling density for sup-norm estimates
     """
@@ -86,22 +85,14 @@ class Tolerances:
     psd_atol: float = 1e-10
     conv_tol: float = 1e-10
     contraction_slack: float = 1e-10
-    big_ratio: float = 1e12
     max_level: int = 64
     grid_points: int = 1024
 
     def __post_init__(self):
-        small = {
-            "rank_rtol": self.rank_rtol,
-            "psd_atol": self.psd_atol,
-            "conv_tol": self.conv_tol,
-            "contraction_slack": self.contraction_slack,
-        }
-        for name, value in small.items():
+        for name in ("rank_rtol", "psd_atol", "conv_tol", "contraction_slack"):
+            value = getattr(self, name)
             if not (0.0 < value <= 1e-4):
                 raise ValueError(f"{name} must lie in (0, 1e-4], got {value}")
-        if self.big_ratio <= 0:
-            raise ValueError("big_ratio must be positive")
         if self.max_level < 2:
             raise ValueError("max_level must be at least 2")
         if self.grid_points < 16:
@@ -189,21 +180,11 @@ def psd_sqrt(m, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
     _check_hermitian(a, tol, "psd_sqrt input")
     if a.size == 0:
         return a.copy()
-    w, v = _psd_eigh(a, tol)
-    return (v * np.sqrt(np.maximum(w, 0.0))) @ v.conj().T
-
-
-def _psd_eigh(a: np.ndarray, tol: Tolerances):
-    """Eigenpairs (w, v) of a nonempty PSD matrix with the psd_sqrt clamp.
-
-    Eigenvalues within ``psd_atol`` of zero come back as exactly 0.0, so
-    ``v[:, w == 0.0]`` is the kernel that :func:`psd_sqrt` gives its root;
-    anything below ``-psd_atol`` raises :class:`NotPSDError`.
-    """
     w, v = np.linalg.eigh(herm(a))
     if w[0] < -tol.psd_atol:
         raise NotPSDError(f"eigenvalue {w[0]:.3e} below -psd_atol")
-    return np.where(np.abs(w) <= tol.psd_atol, 0.0, w), v
+    w = np.where(np.abs(w) <= tol.psd_atol, 0.0, w)
+    return (v * np.sqrt(w)) @ v.conj().T
 
 
 def _svd(m: np.ndarray):
@@ -215,6 +196,19 @@ def _rank(s: np.ndarray, tol: Tolerances) -> int:
     if s.size == 0 or s[0] == 0.0:
         return 0
     return int(np.sum(s > tol.rank_rtol * s[0]))
+
+
+def _defect_roots(s: np.ndarray, tol: Tolerances, *widths) -> list:
+    """For each width, the roots (1 - s^2)^(1/2) of a contraction's singular
+    values s padded with ones to it, and the mask of the roots that _rank
+    keeps.  1 - s^2 = (1 - s)(1 + s) within psd_atol of zero is 0, as
+    psd_sqrt clamps, and below -psd_atol raises NotPSDError."""
+    gap = (1.0 - s) * (1.0 + s)
+    if gap.size and gap.min() < -tol.psd_atol:
+        raise NotPSDError(f"1 - s^2 = {gap.min():.3e} below -psd_atol")
+    roots = np.sqrt(np.where(gap <= tol.psd_atol, 0.0, gap))
+    return [(r, r > tol.rank_rtol * r.max(initial=0.0)) for r in (
+        np.concatenate([roots, np.ones(w - s.size)]) if w > s.size else roots for w in widths)]
 
 
 def rank_of(m, tol: Tolerances = DEFAULT_TOL) -> int:

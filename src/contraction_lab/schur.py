@@ -133,7 +133,7 @@ def _whitened_sup(coeffs, tol: Tolerances) -> float:
     n0 = op_norm(c0)
     if n0 > 1.0 + tol.contraction_slack:
         return math.inf
-    omega, overshoot, leak = _whitened_disc(c0, c1, tol.psd_atol)
+    omega, overshoot, leak = _whitened_disc(c0, c1, tol)
     if math.isinf(omega):
         return math.inf
     if omega <= 1.0:

@@ -12,9 +12,11 @@ computed here.  ``proven_radius`` is a proven lower bound of the largest
 one, from the whitened numerical radius: ||c + eps u|| <= 1 on |eps| <= r
 exactly when P + eps N + conj(eps) N* >= 0 with P = [[I, c], [c*, I]] and
 N = [[0, u], [0, 0]]; a small leak of N onto ker P is charged to the
-slack.  ``radius_search`` looks only at sampled points of
-the circles, so its radius is a sampled estimate: the circle may leave
-the ball between two samples.
+slack.  ``_kernel_leak``, the one test of a leak onto isometric directions,
+decides the disc, the Shmul'yan order and Harnack level 1.
+``radius_search`` looks only at sampled points of the circles, so its
+radius is a sampled estimate: the circle may leave the ball between two
+samples.
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ import math
 
 import numpy as np
 
-from .linalg import DEFAULT_TOL, Tolerances, as_matrix, op_norm
+from .linalg import DEFAULT_TOL, Tolerances, _defect_roots, as_matrix, op_norm
 
 __all__ = ["circle_max_norm", "proven_radius", "radius_search"]
 
@@ -39,10 +41,10 @@ PRUNE_MARGIN = 1e-12
 # Angles of the numerical-radius grid of proven_radius; the grid maximum is
 # within a factor cos(pi / 256) = 1 - 7.5e-5 of the numerical radius.
 RADIUS_ANGLES = 256
-# Residual threshold of the Shmul'yan factorization routes (imported there
-# as ROUTE_RTOL), and a direction leaks onto ker P above LEAK_RTOL *
-# max(1, ||u||): one policy.  Matrices live in the unit ball, so an
-# absolute scale of 1e-8 matches the block identities used elsewhere.
+# A difference leaks onto an isometric kernel above LEAK_RTOL * max(1,
+# ||difference||) (see _kernel_leak); the Shmul'yan audit routes import it
+# as ROUTE_RTOL for their residuals.  Matrices live in the unit ball, so
+# an absolute scale of 1e-8 matches the block identities used elsewhere.
 LEAK_RTOL = 1e-8
 
 
@@ -211,22 +213,54 @@ def radius_search(center, direction, slack: float, samples: int = 128) -> float:
     return lo
 
 
-def _whitened_disc(center, direction, psd_atol: float):
+def _kernel_leak(diff, k_in, k_out=None):
+    """(leak, bound), leak = max(||diff K_in||, ||diff* K_out||) for the
+    orthonormal bases K of ker D_a and ker D_{a*} (no K_out: one-sided);
+    b = a + diff leaks onto them above bound = LEAK_RTOL * max(1, ||diff||).
+    """
+    leak = op_norm(diff @ k_in)
+    if k_out is not None:
+        leak = max(leak, op_norm(diff.conj().T @ k_out))
+    return leak, LEAK_RTOL * max(1.0, op_norm(diff))
+
+
+def _whitened(s, keep, *mids) -> list:
+    """W_top* mid W_bottom of each mid; for M = U* u V, A = P^{+1/2} N P^{+1/2} on
+    the range of P = [[I, c], [c*, I]], N = [[0, u], [0, 0]], c = U S V*.
+
+    P has the eigenvalues 1 +- s_i on [u_i; +-v_i] / sqrt(2), 1 on [u_j; 0]
+    or [0; v_j] past min(rows, cols), and the pairs outside ``keep`` as its
+    kernel.  So whitened eigenvectors e, f give e* N f = w_top(e)
+    M[i(e), j(f)] w_bottom(f).  As sum_e w_bottom(e) w_top(e) is E_i =
+    1 / (2 (1 + s_i)) - [i kept] / (2 (1 - s_i)), A^2 is W_top* M E M W_bottom.
+    """
+    (m, n), k = mids[0].shape, s.size
+    pairs = np.arange(k)
+    plus = np.sqrt(0.5 / (1.0 + s))
+    minus = np.sqrt(0.5 / (1.0 - s[keep]))
+    top = np.concatenate([pairs, pairs[keep], np.arange(k, m), np.zeros(n - k, int)])
+    top_w = np.concatenate([plus, minus, np.ones(m - k), np.zeros(n - k)])
+    bottom = np.concatenate([pairs, pairs[keep], np.zeros(m - k, int), np.arange(k, n)])
+    bottom_w = np.concatenate([plus, -minus, np.zeros(m - k), np.ones(n - k)])
+    gather = np.ix_(top, bottom)
+    return [top_w[:, None] * mid[gather] * bottom_w for mid in mids]
+
+
+def _whitened_disc(center, direction, tol: Tolerances = DEFAULT_TOL):
     """(omega, overshoot, leak) with ||c + eps u|| <= 1 + overshoot + 4 |eps| leak
     on the whole disc |eps| <= 1 / omega; omega is inf when there is no disc.
 
     With P = [[I, c], [c*, I]] and N = [[0, u], [0, 0]], ||c + eps u|| <=
-    1 + delta exactly when P + delta I + eps N + conj(eps) N* >= 0.  One
-    eigh of P splits it into its kernel K (eigenvalues within psd_atol of
-    zero) and its range R.  overshoot = max(0, -lambda_min(P)) is how far
-    the center is outside the ball; past psd_atol omega is inf.  leak =
-    max(||u K_in||, ||u* K_out||) bounds the K-K and R-K blocks of N and
-    N*; above LEAK_RTOL * max(1, ||u||) the direction leaks onto ker P (the
-    not-dominated case) and omega is inf.  On R, whitening with the
-    eigenvalues gives A = P^{+1/2} N P^{+1/2}, and the R-R block stays
-    >= 0 on |eps| <= 1 / (2 w(A)), w the numerical radius; the other blocks
-    cost at most overshoot + 4 |eps| leak.  omega = 2 w_upper, with w(A)
-    bounded from above twice:
+    1 + delta exactly when P + delta I + eps N + conj(eps) N* >= 0.  One SVD
+    of c gives the eigenpairs of P (see _whitened); the pairs whose defect
+    root linalg._defect_roots cuts on both sides form its kernel K, the rest
+    its range R.  overshoot = max(0, s_0 - 1); past psd_atol omega is inf.
+    As K holds [u_i; -v_i] / sqrt(2), leak = _kernel_leak(u, V_K, U_K) /
+    sqrt(2) bounds the K-K and R-K blocks of N and N*; when _kernel_leak
+    finds a leak (the not-dominated case) omega is inf.  On R, with A =
+    P^{+1/2} N P^{+1/2}, the R-R block stays >= 0 on |eps| <= 1 / (2 w(A)),
+    w the numerical radius; the other blocks cost at most overshoot +
+    4 |eps| leak.  omega = 2 w_upper, with w(A) bounded from above twice:
     - on RADIUS_ANGLES angles theta_k, f(theta) = lambda_max(Re(e^{i theta}
       A)) is a maximum of sinusoids x* Re(e^{i theta} A) x of amplitude at
       most w(A), and the one of the maximizing x reaches w(A); so the
@@ -234,7 +268,8 @@ def _whitened_disc(center, direction, psd_atol: float):
       f(theta + pi) = -lambda_min(Re(e^{i theta} A)), M angles cost M/2
       batched eigvalsh;
     - Kittaneh's w(A) <= (||A|| + ||A^2||^{1/2}) / 2 (Studia Math. 158,
-      2003), exact when A^2 = 0, as on flat partial-isometry hops.
+      2003), exact when A^2 = 0, as on flat partial-isometry hops (A^2 from
+      _whitened, not the rounded A A).
     The smaller one plus 4 m eps ||A|| for the rounding of the m x m
     eigenproblems is w_upper.
     """
@@ -243,18 +278,20 @@ def _whitened_disc(center, direction, psd_atol: float):
     if c.size == 0:
         return 0.0, 0.0, 0.0
     m, n = c.shape
-    p = np.eye(m + n, dtype=complex)
-    p[:m, m:] = c
-    p[m:, :m] = c.conj().T
-    w, v = np.linalg.eigh(p)
-    overshoot = max(0.0, -float(w[0]))
-    keep = w > psd_atol
-    ker = v[:, ~keep]
-    leak = max(op_norm(u @ ker[m:]), op_norm(u.conj().T @ ker[:m]))
-    if overshoot > psd_atol or leak > LEAK_RTOL * max(1.0, op_norm(u)):
-        return math.inf, overshoot, leak
-    half = v[:, keep] / np.sqrt(w[keep])  # the columns of P^{+1/2} on its range
-    a = half[:m].conj().T @ u @ half[m:]
+    left, s, right_h = np.linalg.svd(c)
+    overshoot = max(0.0, float(s[0]) - 1.0)
+    s = np.minimum(s, 1.0)
+    (_, keep_in), (_, keep_out) = _defect_roots(s, tol, n, m)
+    # the kernel bases of contraction.defect_data, the same floats
+    leak, bound = _kernel_leak(u, right_h.conj().T[:, ~keep_in], left[:, ~keep_out])
+    if overshoot > tol.psd_atol or leak > bound:
+        return math.inf, overshoot, leak / math.sqrt(2.0)
+    keep = keep_in[:s.size] | keep_out[:s.size]
+    mid = left.conj().T @ u @ right_h.conj().T
+    e = 0.5 / (1.0 + s)
+    e[keep] -= 0.5 / (1.0 - s[keep])
+    a, a_square = _whitened(s, keep, mid, (mid[:, :s.size] * e) @ mid[:s.size])
+    leak /= math.sqrt(2.0)
     size = a.shape[0]
     a_norm = op_norm(a)
     if a_norm == 0.0:
@@ -265,7 +302,7 @@ def _whitened_disc(center, direction, psd_atol: float):
     stack += np.multiply.outer(np.sin(theta), 0.5j * (a - a.conj().T))
     ev = np.linalg.eigvalsh(stack)
     grid = max(ev[:, -1].max(), -ev[:, 0].min()) / math.cos(math.pi / RADIUS_ANGLES)
-    kittaneh = 0.5 * (a_norm + math.sqrt(op_norm(a @ a)))
+    kittaneh = 0.5 * (a_norm + math.sqrt(op_norm(a_square)))
     omega = 2.0 * float(min(grid, kittaneh) + 4.0 * size * np.finfo(float).eps * a_norm)
     return omega, overshoot, leak
 
@@ -280,7 +317,7 @@ def proven_radius(center, direction, tol: Tolerances = DEFAULT_TOL) -> float:
     kernel of P (no disc; the not-dominated case) or the center is outside
     the ball, math.inf above RADIUS_CAP.
     """
-    omega, overshoot, leak = _whitened_disc(center, direction, tol.psd_atol)
+    omega, overshoot, leak = _whitened_disc(center, direction, tol)
     room = tol.contraction_slack - overshoot
     if math.isinf(omega) or room < 0.0:
         return 0.0

@@ -4,7 +4,9 @@ A contraction b is Shmul'yan dominated by a when b = a + D_{a*} X D_a for
 some bounded X.  Three independent decision routes are implemented and
 must agree: the defining defect factorization, the cross-Gram
 factorization I - b*a = D_a Y D_a, and the segment criterion (some circle
-(1-eps)a + eps b of positive radius stays inside the unit ball).  On top
+(1-eps)a + eps b of positive radius stays inside the unit ball).  X exists
+exactly when b - a vanishes on N(D_a) and (b - a)* on N(D_{a*}): the
+decision is the two-sided segments._kernel_leak.  On top
 of the directed oracle sit the structured criteria for partial isometries,
 quasi-isometries, column splits, and pure corners.
 """
@@ -43,9 +45,8 @@ from .linalg import (
 # circle_max_norm is unused here; perfbench/spans.py checks that this binding
 # resolves to its traced wrapper, so it stays
 from .segments import RADIUS_FLOOR, circle_max_norm, radius_search  # noqa: F401
-# the residual threshold of the factorization routes is the leak threshold
-# of the proven segment radius: one policy
-from .segments import LEAK_RTOL as ROUTE_RTOL
+# the residual threshold of the audit routes is the leak threshold: one policy
+from .segments import LEAK_RTOL as ROUTE_RTOL, _kernel_leak
 
 __all__ = [
     "ColumnCriterion",
@@ -90,7 +91,8 @@ class ShmulyanVerdict:
                      |eps| = r, stays within 1 + contraction_slack (128
                      samples; an estimate, not a proven radius: the circle
                      can leave the ball between samples)
-    residuals        per-route residual norms
+    residuals        the leak of the deciding route ("defect_factor") and
+                     the residual norm of the cross-Gram route
     marginal         some decision fell within a decade of its threshold
     """
 
@@ -111,17 +113,11 @@ def _two_sided_solve(left, left_pinv, mid, right, right_pinv):
     return x, op_norm(mid - left @ x @ right), ROUTE_RTOL * max(1.0, op_norm(mid))
 
 
-def _factor_route(b: Contraction, a: Contraction, tol: Tolerances):
-    """Minimal-norm X with b - a = D_{a*} X D_a, its residual and bound."""
-    dd = defect_data(a, tol)
-    return _two_sided_solve(dd.d_tstar, dd.d_tstar_pinv, b.mat - a.mat,
-                            dd.d_t, dd.d_t_pinv)
-
-
 def _factor_dominates(b: Contraction, a: Contraction, tol: Tolerances) -> bool:
     """The decision of :func:`shmulyan_dominates`, without its audit routes."""
-    _, res_x, bound = _factor_route(b, a, tol)
-    return res_x <= bound
+    dd = defect_data(a, tol)
+    leak, bound = _kernel_leak(b.mat - a.mat, dd.null_dt.basis, dd.null_dtstar.basis)
+    return leak <= bound
 
 
 def shmulyan_dominates(b: Contraction, a: Contraction,
@@ -136,8 +132,9 @@ def shmulyan_dominates(b: Contraction, a: Contraction,
         raise ShapeMismatchError(f"shape mismatch {b.shape} vs {a.shape}")
     dd = defect_data(a, tol)
     diff = b.mat - a.mat
-    x, res_x, bound = _factor_route(b, a, tol)
-    feasible_factor = res_x <= bound
+    leak, bound = _kernel_leak(diff, dd.null_dt.basis, dd.null_dtstar.basis)
+    feasible_factor = leak <= bound
+    x = dd.d_tstar_pinv @ diff @ dd.d_t_pinv  # minimal-norm X when feasible
 
     gram = np.eye(a.shape[1], dtype=complex) - b.mat.conj().T @ a.mat
     y, res_y, bound_y = _two_sided_solve(dd.d_t, dd.d_t_pinv, gram, dd.d_t, dd.d_t_pinv)
@@ -153,12 +150,8 @@ def shmulyan_dominates(b: Contraction, a: Contraction,
         _, _, vh = np.linalg.svd(diff - dd.d_tstar @ x @ dd.d_t)
         witness = vh[0].conj()  # a copy: the row view would pin all of vh
 
-    marginal = False
-    for res, bnd in ((res_x, bound), (res_y, bound_y)):
-        if bnd / 10.0 <= res <= 10.0 * bnd:
-            marginal = True
-    if 0.0 < radius <= 10.0 * RADIUS_FLOOR:
-        marginal = True
+    marginal = 0.0 < radius <= 10.0 * RADIUS_FLOOR or any(
+        bnd / 10.0 <= res <= 10.0 * bnd for res, bnd in ((leak, bound), (res_y, bound_y)))
 
     return ShmulyanVerdict(
         dominates=feasible_factor,
@@ -171,7 +164,7 @@ def shmulyan_dominates(b: Contraction, a: Contraction,
         },
         witness=witness,
         radius=radius,
-        residuals={"defect_factor": res_x, "cross_gram": res_y},
+        residuals={"defect_factor": leak, "cross_gram": res_y},
         marginal=marginal,
     )
 

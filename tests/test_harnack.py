@@ -14,6 +14,7 @@ from contraction_lab import (
     NOT_DOMINATED,
     NecessaryConditionFailsError,
     ZDivergesError,
+    defect_data,
     harnack_dominates,
     harnack_equivalence,
     harnack_falsify,
@@ -22,6 +23,7 @@ from contraction_lab import (
     make_contraction,
     positive_real_sample,
     quasi_normal_equivalence_report,
+    shmulyan_dominates,
 )
 from contraction_lab import harnack
 from contraction_lab.corpus import GenSpec, generate, random_unitary
@@ -271,11 +273,12 @@ class TestSymbol:
         if status == DOMINATED:
             assert v.constant_estimate == pytest.approx(1.0, rel=1e-9)
 
-    def test_leak_never_dominated(self, monkeypatch):
-        # a leaking symbol forbids Dominated, and nothing climbs past level 1
+    def test_no_sweep_never_dominated(self, monkeypatch):
+        # past the grid's degree bound the sweep does not run, and nothing
+        # else may end Dominated or climb past level 1
         a, b = scalar(0.5), scalar(0.0)
         assert harnack_dominates(a, b).status == DOMINATED
-        monkeypatch.setattr(harnack, "_symbol_sweep", lambda *args: (1.0, 3.0))
+        monkeypatch.setattr(harnack, "SYMBOL_GRID", 2)
         v = harnack_dominates(a, b)
         assert v.status == INCONCLUSIVE and v.method == "symbol"
         assert v.levels == [1] and v.constant_estimate is None
@@ -288,6 +291,55 @@ class TestSymbol:
         v = harnack_dominates(scalar(1.0), scalar(0.0))
         assert v.status == NOT_DOMINATED and v.method == "kernel-escape"
         assert v.levels_used == 1
+
+
+def b_eps(eps):
+    """A contraction that leaves ker D_J = span(e2) by eps: b e2 = (sqrt(1 - eps^2), eps)."""
+    return make_contraction([[0.0, math.sqrt(1.0 - eps ** 2)], [0.0, eps]])
+
+
+def count_calls(monkeypatch, *names):
+    counts = dict.fromkeys(names, 0)
+    for name in names:
+        def counted(*args, _real=getattr(np.linalg, name), _name=name, **kwargs):
+            counts[_name] += 1
+            return _real(*args, **kwargs)
+        monkeypatch.setattr(np.linalg, name, counted)
+    return counts
+
+
+class TestLevelOneLeak:
+    """Level 1 is the one-sided leak test of the Shmul'yan decision."""
+
+    @pytest.mark.parametrize("eps", [1e-6, 1e-7])
+    def test_leak_above_the_threshold_escapes(self, eps):
+        # the Gram ratio of this leak is eps^2 / 2, which a Rayleigh test
+        # with a 1e-12 floor passed as Dominated
+        b = b_eps(eps)
+        v = harnack_dominates(J, b)
+        assert v.status == NOT_DOMINATED and v.method == "kernel-escape"
+        y = v.witness
+        assert y.shape == (2,) and np.linalg.norm(y) == pytest.approx(1.0, abs=1e-12)
+        assert abs(y[0]) <= 1e-12  # y spans ker D_J
+        assert np.linalg.norm((b.mat - J.mat) @ y) == pytest.approx(eps, rel=1e-6)
+        assert not shmulyan_dominates(b, J).dominates
+
+    def test_leak_below_the_threshold_stays_dominated(self):
+        assert harnack_dominates(J, b_eps(1e-9)).status == DOMINATED
+
+    def test_default_call_builds_no_gram_matrix(self, monkeypatch):
+        w = gen("partial_isometry", 8, 3, rank=4)
+        b = part_member(w, 0.5, 3)
+
+        def refuse(*args):
+            raise AssertionError("Gram matrix built")
+
+        monkeypatch.setattr(harnack, "_gram", refuse)
+        counts = count_calls(monkeypatch, "eigh", "eigvalsh")
+        v = harnack_dominates(w, b)
+        assert v.status == DOMINATED and v.method == "symbol"
+        assert v.levels == [1] and v.kernel_floor == 0.0
+        assert counts["eigh"] == 0 and counts["eigvalsh"] <= 1
 
 
 def criterion_4_forward_pairs():
@@ -461,6 +513,15 @@ class TestIntertwiner:
     def test_boundary_series_diverges(self):
         with pytest.raises(ZDivergesError):
             intertwiner_data(scalar(1.0), scalar(0.0))
+
+    def test_reads_cached_defect_data(self, monkeypatch):
+        t = make_contraction(np.diag([0.5, 0.3, 0.2]))
+        tp = make_contraction(np.diag([0.4, 0.3, 0.1]))
+        defect_data(t), defect_data(tp)
+        counts = count_calls(monkeypatch, "svd")
+        data = intertwiner_data(t, tp)
+        assert counts["svd"] == 0
+        assert data.residual_w <= 1e-12
 
     def test_necessary_condition(self):
         t = make_contraction(np.diag([0.5, 0.9]))

@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from contraction_lab import segments
+from contraction_lab import Contraction, defect_data, segments
 from contraction_lab.corpus import random_unitary
 from contraction_lab.linalg import Tolerances, op_norm
 from contraction_lab.segments import (
@@ -263,3 +263,93 @@ class TestProvenRadius:
         assert proven_radius(w, rng_matrix(9, 4, 4)) == 0.0
         assert proven_radius(1.001 * np.eye(2), 0.1 * np.eye(2)) == 0.0
         assert proven_radius(0.5 * np.eye(3), np.zeros((3, 3))) == math.inf
+
+
+def reference_whitened_disc(center, direction, psd_atol):
+    """The disc from one eigh of P = [[I, c], [c*, I]], cut at psd_atol on
+    its eigenvalues, as computed before the singular-pair form."""
+    c = np.asarray(center, dtype=complex)
+    u = np.asarray(direction, dtype=complex)
+    m, n = c.shape
+    p = np.eye(m + n, dtype=complex)
+    p[:m, m:] = c
+    p[m:, :m] = c.conj().T
+    w, v = np.linalg.eigh(p)
+    overshoot = max(0.0, -float(w[0]))
+    keep = w > psd_atol
+    ker = v[:, ~keep]
+    leak = max(op_norm(u @ ker[m:]), op_norm(u.conj().T @ ker[:m]))
+    if overshoot > psd_atol or leak > segments.LEAK_RTOL * max(1.0, op_norm(u)):
+        return math.inf, overshoot, leak
+    half = v[:, keep] / np.sqrt(w[keep])
+    a = half[:m].conj().T @ u @ half[m:]
+    a_norm = op_norm(a)
+    if a_norm == 0.0:
+        return 0.0, overshoot, leak
+    theta = segments.unit_circle(segments.RADIUS_ANGLES)[0][: segments.RADIUS_ANGLES // 2]
+    stack = np.multiply.outer(np.cos(theta), 0.5 * (a + a.conj().T))
+    stack += np.multiply.outer(np.sin(theta), 0.5j * (a - a.conj().T))
+    ev = np.linalg.eigvalsh(stack)
+    grid = max(ev[:, -1].max(), -ev[:, 0].min()) / math.cos(math.pi / segments.RADIUS_ANGLES)
+    kittaneh = 0.5 * (a_norm + math.sqrt(op_norm(a @ a)))
+    omega = 2.0 * float(min(grid, kittaneh) + 4.0 * a.shape[0] * np.finfo(float).eps * a_norm)
+    return omega, overshoot, leak
+
+
+def _rectangular_center(kind, rows, cols, seed):
+    """A norm-one or partial-isometry center of the given shape."""
+    rng = np.random.default_rng(seed)
+    k = min(rows, cols)
+    s = np.concatenate([[1.0], rng.uniform(0.0, 0.9, k - 1)]) if kind == "norm-one" \
+        else (np.arange(k) < (k + 1) // 2).astype(float)
+    return random_unitary(rng, rows)[:, :k] @ np.diag(s) @ random_unitary(rng, cols)[:k]
+
+
+def disc_cases():
+    """(label, center, direction) over the segment kinds, rectangular
+    centers, and directions that leak about 0.5 and 2 times LEAK_RTOL."""
+    for kind in KINDS:
+        for d in (1, 2, 3, 4, 8):
+            for seed in range(4):
+                yield f"{kind}-{d}-{seed}", *segment_case(kind, d, 100 * d + seed)
+    yield "norm-one-3-300", *segment_case("norm-one", 3, 300)
+    for rows, cols in ((3, 5), (5, 3), (4, 4)):
+        for kind in ("norm-one", "partial-isometry"):
+            for seed in range(3):
+                c = _rectangular_center(kind, rows, cols, 10 * rows + seed)
+                g = rng_matrix(seed, rows, cols)
+                dd = defect_data(Contraction(c))
+                dom = _scaled(dd.d_tstar @ g @ dd.d_t, 0.5)
+                label = f"{kind}-{rows}x{cols}-{seed}"
+                yield label + "-generic", c, _scaled(g, 0.5)
+                yield label + "-dominated", c, dom
+                left, s, right_h = np.linalg.svd(c)
+                for factor in (0.5, 2.0):
+                    planted = factor * segments.LEAK_RTOL
+                    side = np.outer(left[:, 1 % rows], right_h[0]) if seed % 2 \
+                        else np.outer(left[:, 0], right_h[1 % cols])
+                    yield f"{label}-leak-{factor}", c, dom + planted * side
+
+
+class TestSingularDisc:
+    """The disc from one SVD of the center, against one eigh of P."""
+
+    @pytest.mark.parametrize("label, c, u", [pytest.param(*case, id=case[0])
+                                             for case in disc_cases()])
+    def test_matches_eigh_of_p(self, label, c, u):
+        want = reference_whitened_disc(c, u, 1e-10)
+        got = segments._whitened_disc(c, u)
+        assert math.isinf(got[0]) == math.isinf(want[0])
+        if not math.isinf(want[0]):
+            assert got[0] == pytest.approx(want[0], rel=1e-6, abs=1e-300)
+        assert got[1] == pytest.approx(want[1], abs=1e-12)
+        assert got[2] == pytest.approx(want[2], abs=1e-12)
+
+    def test_no_eigh(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("eigh called")
+
+        c, u = segment_case("flat", 8, 800)
+        monkeypatch.setattr(np.linalg, "eigh", refuse)
+        omega, _, _ = segments._whitened_disc(c, u)
+        assert 0.0 < omega < math.inf

@@ -1,10 +1,13 @@
 """Shmul'yan domination routes, parts, and the structured criteria."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 
 from contraction_lab import (
+    Contraction,
     classify,
     defect_data,
     make_contraction,
@@ -13,7 +16,9 @@ from contraction_lab import (
 )
 from contraction_lab.corpus import GenSpec, generate, random_unitary
 from contraction_lab.harnack import NOT_DOMINATED, harnack_dominates
-from contraction_lab.linalg import DEFAULT_TOL, kernel_of, op_norm, range_of, rank_of
+from contraction_lab import segments, shmulyan
+from contraction_lab.linalg import DEFAULT_TOL, Tolerances, kernel_of, op_norm, range_of, rank_of
+from contraction_lab.segments import proven_radius
 from contraction_lab.shmulyan import (
     IncompatibleSplitsError,
     NotPartialIsometryError,
@@ -26,6 +31,7 @@ from contraction_lab.shmulyan import (
 )
 
 from conftest import rng_matrix, scaled_contraction, square_contractions
+from test_segments import segment_case
 
 J = make_contraction([[0, 1], [0, 0]])
 JZ = make_contraction([[0, 1], [0.5, 0]])
@@ -348,3 +354,113 @@ class TestMarginalFlag:
         cand = make_contraction(perturbed / max(1.0, op_norm(perturbed)))
         verdict = shmulyan_dominates(cand, w)
         assert verdict.marginal
+
+
+def _gen(kind, d, seed, **params):
+    return generate(GenSpec(d, kind, seed=seed, params=params))
+
+
+def _member(w, z_norm, seed):
+    """w + Z on the defect spaces of the partial isometry w, ||Z|| = z_norm."""
+    part = partial_isometry_part(w)
+    g = rng_matrix(seed, part.null_out.dim, part.null_in.dim)
+    z = g * (z_norm / op_norm(g)) if g.size else g
+    return make_contraction(w.mat + part.null_out.basis @ z @ part.null_in.basis.conj().T)
+
+
+def _planted(a_mat, eps):
+    """A contraction that moves a's top isometric pair (v, u) off by eps:
+    b v = sqrt(1 - eps^2) u + eps u', u' the left singular vector of a's
+    singular value 0, and b = a elsewhere."""
+    left, s, right_h = np.linalg.svd(a_mat)
+    assert abs(s[0] - 1.0) <= 1e-14 and s[-1] <= 1e-14
+    col = (math.sqrt(1.0 - eps ** 2) - 1.0) * left[:, 0] + eps * left[:, -1]
+    return make_contraction(a_mat + np.outer(col, right_h[0]))
+
+
+def square_pairs():
+    """(label, a, b) square pairs: corpus pairs in both directions, and
+    leaks planted at 0.5 and 2 times LEAK_RTOL."""
+    for d in (2, 3, 4, 6):
+        w = _gen("partial_isometry", d, d, rank=max(1, d // 2))
+        strict = _gen("strict", d, d + 1, norm_bound=0.8)
+        u_q = _gen("direct_sum_U_plus_Q", d, d, unitary_dim=1, norm_bound=0.6)
+        norm_one = make_contraction(_rng_norm_one(d, d))
+        pairs = {
+            "w-member": (w, _member(w, 0.5, d)),
+            "w-edge": (w, _member(w, 1.0, d)),
+            "w-strict": (w, strict),
+            "strict-strict": (_gen("strict", d, d, norm_bound=0.9), strict),
+            "uq-uq": (u_q, _gen("direct_sum_U_plus_Q", d, d + 5, unitary_dim=1)),
+            "uq-strict": (u_q, strict),
+            "nilpotent-zero": (_gen("nilpotent_shift", d, 0),
+                               make_contraction(np.zeros((d, d)))),
+            "norm-one-strict": (norm_one, strict),
+        }
+        for factor in (0.5, 2.0):
+            eps = factor * segments.LEAK_RTOL
+            pairs[f"w-leak-{factor}"] = (w, _planted(w.mat, eps))
+            pairs[f"norm-one-leak-{factor}"] = (norm_one, _planted(norm_one.mat, eps))
+        for name, (a, b) in pairs.items():
+            yield f"{name}-{d}", a, b
+            yield f"{name}-{d}-reversed", b, a
+
+
+def _rng_norm_one(d, seed):
+    """Norm one, a singular value 0 at d >= 2, the rest inside the ball."""
+    rng = np.random.default_rng(seed)
+    s = np.concatenate([[1.0], rng.uniform(0.1, 0.9, d - 2), [0.0]])[:d]
+    return random_unitary(rng, d) @ np.diag(s) @ random_unitary(rng, d)
+
+
+def rectangular_pairs():
+    """(label, a, b) of shapes 3 x 5 and 5 x 3, and the segment-case pair."""
+    for rows, cols in ((3, 5), (5, 3)):
+        for seed in range(3):
+            rng = np.random.default_rng(seed)
+            k = min(rows, cols)
+            for kind, s in (("norm-one", [1.0, 0.6, 0.0]), ("partial-isometry", [1.0, 1.0, 0.0])):
+                a = Contraction(random_unitary(rng, rows)[:, :k] @ np.diag(s)
+                                @ random_unitary(rng, cols)[:k])
+                dd = defect_data(a)
+                g = rng_matrix(seed, rows, cols)
+                dom = dd.d_tstar @ g @ dd.d_t
+                dom *= 0.3 / op_norm(dom)
+                left, _, right_h = np.linalg.svd(a.mat)
+                for factor in (0.5, 2.0):
+                    eps = factor * segments.LEAK_RTOL
+                    for side, leak in (("in", np.outer(left[:, 1], right_h[0])),
+                                       ("out", np.outer(left[:, 0], right_h[2]))):
+                        yield (f"{kind}-{rows}x{cols}-{seed}-{side}-{factor}", a,
+                               Contraction(a.mat + dom + eps * leak))
+                yield f"{kind}-{rows}x{cols}-{seed}-dominated", a, Contraction(a.mat + dom)
+                yield f"{kind}-{rows}x{cols}-{seed}-generic", a, Contraction(a.mat + 0.3 * g)
+    c, u = segment_case("norm-one", 3, 300)
+    yield "segment-case-norm-one-3-300", Contraction(c), Contraction(c + 0.2 * u)
+
+
+class TestOneLeakTest:
+    """The Shmul'yan decision, the proven disc and Harnack level 1 read one
+    leak test, so they agree by construction."""
+
+    @pytest.mark.parametrize("label, a, b", [pytest.param(*p, id=p[0]) for p in
+                                             list(square_pairs()) + list(rectangular_pairs())])
+    def test_decision_is_the_disc(self, label, a, b):
+        decided = shmulyan._factor_dominates(b, a, DEFAULT_TOL)
+        assert decided == (proven_radius(a.mat, b.mat - a.mat) > 0.0)
+        assert decided == shmulyan_dominates(b, a).dominates
+
+    @pytest.mark.parametrize("label, a, b", [pytest.param(*p, id=p[0]) for p in square_pairs()])
+    def test_harnack_level_one(self, label, a, b):
+        v = harnack_dominates(a, b)
+        if shmulyan._factor_dominates(b, a, DEFAULT_TOL):
+            assert v.method != "kernel-escape"
+        if v.method != "kernel-escape":
+            audit = harnack_dominates(a, b, Tolerances(max_level=2), full_trace=True)
+            assert audit.levels[0] == 1
+            assert v.constants[0] == pytest.approx(audit.constants[0], rel=1e-12)
+
+    def test_planted_leaks_straddle_the_threshold(self):
+        got = {label: harnack_dominates(a, b).method == "kernel-escape"
+               for label, a, b in square_pairs() if "leak" in label and "reversed" not in label}
+        assert got and all(esc == ("-2.0-" in label) for label, esc in got.items())
