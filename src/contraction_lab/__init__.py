@@ -46,20 +46,15 @@ from .harnack import (
 )
 from .linalg import (
     DEFAULT_TOL,
-    DouglasInfeasibleError,
     NotHermitianError,
     NotPSDError,
     ShapeMismatchError,
     Subspace,
     Tolerances,
-    douglas_solve,
-    kernel_of,
     matrix_from_json,
     matrix_to_json,
     op_norm,
-    pinv,
     psd_order_leq,
-    psd_sqrt,
     range_of,
 )
 from .schur import (
@@ -73,7 +68,6 @@ from .schur import (
     schur_poly,
     schur_sup_norm,
     segment_radius,
-    toeplitz_truncate,
 )
 from .shmulyan import (
     NotPartialIsometryError,

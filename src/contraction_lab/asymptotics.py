@@ -89,7 +89,7 @@ def _compute_limit(c: Contraction, tol: Tolerances) -> AsymptoticData:
     d = c.dim
     if d == 0:
         z = np.zeros((0, 0), dtype=complex)
-        empty = Subspace(0, z)
+        empty = Subspace._trusted(0, z)
         return AsymptoticData(z, np.zeros(0), empty, empty, 0, True)
     m = c.mat  # T^(2^k) as k grows
     a_prev = m.conj().T @ m
@@ -109,8 +109,8 @@ def _compute_limit(c: Contraction, tol: Tolerances) -> AsymptoticData:
             return AsymptoticData(
                 s_t=s,
                 eigenvalues=w,
-                null_s=Subspace(d, v[:, w <= cut]),
-                fix_s=Subspace(d, v[:, 1.0 - w <= cut]),
+                null_s=Subspace._trusted(d, v[:, w <= cut]),
+                fix_s=Subspace._trusted(d, v[:, 1.0 - w <= cut]),
                 iterations=power,
                 idempotent=idem,
             )

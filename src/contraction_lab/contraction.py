@@ -34,8 +34,9 @@ __all__ = [
     "up_decompose",
 ]
 
-# Frobenius residual threshold for the defining identities of the
-# classification predicates (polynomial of degree <= 4 in a contraction).
+# Spectral-norm residual threshold, relative to max(1, ||T||^2), for the
+# defining identities of the classification predicates (polynomial of
+# degree <= 4 in a contraction).
 PREDICATE_RTOL = 1e-8
 # Cap on repeated squarings of a power iteration: effective power 2^60.
 MAX_DOUBLINGS = 60
@@ -77,18 +78,21 @@ class DefectData:
 class Contraction:
     """Element of the closed unit ball of complex matrices.
 
-    The matrix is stored read-only; defect data and the asymptotic limit
-    are computed lazily and cached per tolerance instance (recompute-equal
-    semantics), and the cached adjoint has this instance as its adjoint.
+    The matrix is stored read-only.  Its full SVD is taken once, on first
+    use, and kept read-only (see :func:`_factored`); defect data and the
+    asymptotic limit are computed lazily and cached per tolerance instance
+    (recompute-equal semantics), and the cached adjoint has this instance
+    as its adjoint.
     """
 
-    __slots__ = ("mat", "tags", "_defect_cache", "_limit_cache", "_adjoint")
+    __slots__ = ("mat", "tags", "_factors", "_defect_cache", "_limit_cache", "_adjoint")
 
     def __init__(self, mat: np.ndarray, tags: frozenset = frozenset()):
         m = as_matrix(mat).copy()
         m.setflags(write=False)
         self.mat = m
         self.tags = frozenset(tags)
+        self._factors: Optional[tuple] = None
         self._defect_cache: dict = {}
         self._limit_cache: dict = {}
         self._adjoint: Optional["Contraction"] = None
@@ -134,20 +138,34 @@ def make_contraction(m, tol: Tolerances = DEFAULT_TOL,
     return Contraction(a, tags)
 
 
+def _factored(c: Contraction) -> tuple:
+    """The full SVD (u, s, vh) of c.mat: taken once per contraction, read-only.
+
+    It does not depend on the tolerances; defect data, Harnack level 1, the
+    symbol sweep, the partial-isometry part and classify all read it.
+    """
+    if c._factors is None:
+        factors = np.linalg.svd(c.mat)
+        for f in factors:
+            f.setflags(write=False)
+        c._factors = tuple(factors)
+    return c._factors
+
+
 def _defect_side(basis: np.ndarray, r: np.ndarray, keep: np.ndarray):
     """D = B r B*, its range, kernel and pseudoinverse (r: linalg._defect_roots)."""
     n = basis.shape[1]
     kept = basis[:, keep]
-    return ((basis * r) @ basis.conj().T, Subspace(n, kept),
-            Subspace(n, basis[:, ~keep]), (kept / r[keep]) @ kept.conj().T)
+    return ((basis * r) @ basis.conj().T, Subspace._trusted(n, kept),
+            Subspace._trusted(n, basis[:, ~keep]), (kept / r[keep]) @ kept.conj().T)
 
 
 def defect_data(c: Contraction, tol: Tolerances = DEFAULT_TOL) -> DefectData:
-    """Defect data from one SVD of T (cached), with r = (1 - s^2)^(1/2)."""
+    """Defect data from the SVD of T (:func:`_factored`), with r = (1 - s^2)^(1/2)."""
     cached = c._defect_cache.get(tol)
     if cached is not None:
         return cached
-    u, s, vh = np.linalg.svd(c.mat)
+    u, s, vh = _factored(c)
     side_in, side_out = _defect_roots(s, tol, vh.shape[0], u.shape[0])
     d_t, defect_space, null_dt, d_t_pinv = _defect_side(vh.conj().T, *side_in)
     d_tstar, defect_space_star, null_dtstar, d_tstar_pinv = _defect_side(u, *side_out)
@@ -168,7 +186,9 @@ def classify(c: Contraction, tol: Tolerances = DEFAULT_TOL) -> frozenset:
     t = c.mat
     rows, cols = t.shape
     tt = t.conj().T
-    bound = PREDICATE_RTOL * max(1.0, op_norm(t) ** 2)
+    s = _factored(c)[1]
+    norm = float(s[0]) if s.size else 0.0
+    bound = PREDICATE_RTOL * max(1.0, norm ** 2)
 
     def small(m) -> bool:
         return op_norm(m) <= bound
@@ -189,7 +209,7 @@ def classify(c: Contraction, tol: Tolerances = DEFAULT_TOL) -> frozenset:
             out.add("quasi_isometry")
         if psd_order_leq(herm(t @ tt), herm(tt @ t), tol):
             out.add("hyponormal")
-    if op_norm(t) < 1.0 - tol.contraction_slack:
+    if norm < 1.0 - tol.contraction_slack:
         out.add("strict")
     if defect_data(c, tol).null_dt.dim == 0:
         out.add("pure")

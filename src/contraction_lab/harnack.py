@@ -50,7 +50,7 @@ from typing import Optional
 import numpy as np
 
 from .asymptotics import reducing_unitary_part
-from .contraction import Contraction, defect_data
+from .contraction import Contraction, _factored, defect_data
 from .linalg import (
     DEFAULT_TOL,
     ShapeMismatchError,
@@ -201,7 +201,7 @@ def _on_circle(spectrum: np.ndarray, tol: Tolerances) -> np.ndarray:
     return 1.0 - np.abs(spectrum) ** 2 <= tol.psd_atol
 
 
-def _symbol_sweep(a: np.ndarray, b: np.ndarray, svd_a, spectra: np.ndarray,
+def _symbol_sweep(a: np.ndarray, b: np.ndarray, svd_a, svd_b, spectra: np.ndarray,
                   tol: Tolerances) -> float:
     """Constant of G(theta) = D_b (I - z b)^{-1} (I - z a), z = e^{-i theta}.
 
@@ -211,13 +211,13 @@ def _symbol_sweep(a: np.ndarray, b: np.ndarray, svd_a, spectra: np.ndarray,
     b, and a golden-section search around the two best of them.  G = D_b
     = 0 on ker D_a, where level 1 found b = a.  Norms are unitarily
     invariant, so D_b enters as diag(r_b) V_b* and D_a^+ as V_r diag(1/r),
-    from ``svd_a`` and one SVD of b.
+    from the SVDs ``svd_a`` of a and ``svd_b`` of b.
     """
     d = a.shape[0]
     eye = np.eye(d, dtype=complex)
     _, s_a, vh_a = svd_a
     [(r_a, keep)] = _defect_roots(s_a, tol, d)
-    _, s_b, vh_b = np.linalg.svd(b)
+    _, s_b, vh_b = svd_b
     [(r_b, _)] = _defect_roots(s_b, tol, d)
     pinv_cols = vh_a[keep].conj().T / r_a[keep]  # >= 1 column: a is no isometry
     left = r_b[:, None] * vh_b
@@ -250,12 +250,13 @@ def _symbol_sweep(a: np.ndarray, b: np.ndarray, svd_a, spectra: np.ndarray,
     return max(best, float(f1.max()), float(f2.max()))
 
 
-def _decide(a: Contraction, b: Contraction, svd_a, c_last: float, tol: Tolerances):
+def _decide(a: Contraction, b: Contraction, c_last: float, tol: Tolerances):
     """(status, method, witness, constant) of a pair past level 1.
 
-    The split (after which a_0 takes its own SVD) runs only when an
-    eigenvalue of a lies on the circle.  The Fejer witness needs rho(a_0) <
-    1, so an eigenvalue of a_0 left on the circle ends Inconclusive first.
+    The split runs only when an eigenvalue of a lies on the circle; the
+    symbol sweep then factors a_0 and b_0, else it reads the cached SVDs
+    of a and b.  The Fejer witness needs rho(a_0) < 1, so an eigenvalue of
+    a_0 left on the circle ends Inconclusive first.
     """
     a_mat, b_mat, basis = a.mat, b.mat, None
     spec_a, spec_b = np.linalg.eigvals(a_mat), np.linalg.eigvals(b_mat)
@@ -265,7 +266,6 @@ def _decide(a: Contraction, b: Contraction, svd_a, c_last: float, tol: Tolerance
             return DOMINATED, "unitary", None, max(c_last, 1.0)
         basis = rest.basis
         a_mat, b_mat = compress(a_mat, rest, rest), compress(b_mat, rest, rest)
-        svd_a = None
         spec_a, spec_b = np.linalg.eigvals(a_mat), np.linalg.eigvals(b_mat)
         if np.any(_on_circle(spec_a, tol)):
             return INCONCLUSIVE, "symbol", None, None
@@ -274,8 +274,9 @@ def _decide(a: Contraction, b: Contraction, svd_a, c_last: float, tol: Tolerance
         y = vectors[:, int(np.argmax(np.abs(values)))]
         return NOT_DOMINATED, "fejer", y if basis is None else basis @ y, None
     if a_mat.shape[0] + 1 < SYMBOL_GRID:
-        c2 = _symbol_sweep(a_mat, b_mat, np.linalg.svd(a_mat) if svd_a is None else svd_a,
-                           np.concatenate([spec_a, spec_b]), tol)
+        factors = (_factored(a), _factored(b)) if basis is None else \
+            (np.linalg.svd(a_mat), np.linalg.svd(b_mat))
+        c2 = _symbol_sweep(a_mat, b_mat, *factors, np.concatenate([spec_a, spec_b]), tol)
         return DOMINATED, "symbol", None, max(c2, c_last)
     return INCONCLUSIVE, "symbol", None, None
 
@@ -321,7 +322,7 @@ def harnack_dominates(a: Contraction, b: Contraction,
     if d == 0:
         return HarnackVerdict(DOMINATED, [1.0], [1], None, 1, 0.0, "unitary", 1.0)
 
-    svd = np.linalg.svd(a.mat)
+    svd = _factored(a)
     [(_, keep)] = _defect_roots(svd[1], tol, d)
     diff = b.mat - a.mat
     kernel = svd[2].conj().T[:, ~keep]  # defect_data(a).null_dt.basis
@@ -337,7 +338,7 @@ def harnack_dominates(a: Contraction, b: Contraction,
         constants = [1.0 + float(np.linalg.eigvalsh(whitened + whitened.conj().T)[-1])]
         levels, kernel_floor = [1], 0.0
 
-    status, method, witness, estimate = _decide(a, b, svd, constants[-1], tol)
+    status, method, witness, estimate = _decide(a, b, constants[-1], tol)
     return HarnackVerdict(status, constants, levels, witness, levels[-1],
                           kernel_floor, method, estimate)
 

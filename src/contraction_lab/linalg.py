@@ -1,9 +1,10 @@
 """Dense complex linear algebra substrate.
 
 Everything downstream (defect operators, Gram hierarchies, Schur arcs)
-reduces to a handful of rank-aware primitives collected here: Hermitian
-square roots, pseudoinverses, numerical kernels/ranges, subspace geometry,
-and the Douglas range-inclusion solver.  All rank decisions use a relative
+reduces to a handful of rank-aware primitives collected here: the
+tolerance policy, the spectral norm, the numerical rank and the defect
+roots of a contraction's singular values, numerical ranges, subspace
+geometry and the Loewner order.  All rank decisions use a relative
 singular-value cutoff so that rescaling a matrix never changes a computed
 subspace.
 """
@@ -18,8 +19,6 @@ import numpy as np
 __all__ = [
     "ANGLE_TOL",
     "DEFAULT_TOL",
-    "DouglasInfeasibleError",
-    "DouglasSolution",
     "NotHermitianError",
     "NotPSDError",
     "ShapeMismatchError",
@@ -27,17 +26,12 @@ __all__ = [
     "Tolerances",
     "as_matrix",
     "compress",
-    "douglas_solve",
     "herm",
-    "kernel_of",
     "matrix_from_json",
     "matrix_to_json",
     "op_norm",
-    "pinv",
     "psd_order_leq",
-    "psd_sqrt",
     "range_of",
-    "rank_of",
 ]
 
 # Largest principal angle below which two subspaces count as equal.
@@ -54,19 +48,6 @@ class NotPSDError(ValueError):
 
 class ShapeMismatchError(ValueError):
     """Operands do not have conformable shapes."""
-
-
-class DouglasInfeasibleError(ValueError):
-    """Range/kernel inclusion required by a Douglas solve fails.
-
-    Carries a unit ``witness`` vector certifying the failure and the
-    residual norm of the best least-squares candidate.
-    """
-
-    def __init__(self, message: str, witness: np.ndarray, residual: float):
-        super().__init__(message)
-        self.witness = witness
-        self.residual = residual
 
 
 @dataclass(frozen=True)
@@ -126,7 +107,7 @@ def op_norm(m) -> float:
     a = as_matrix(m)
     if a.size == 0:
         return 0.0
-    return float(np.linalg.norm(a, 2))
+    return float(np.linalg.svd(a, compute_uv=False)[0])
 
 
 def matrix_to_json(m) -> dict:
@@ -168,29 +149,6 @@ def _check_hermitian(m: np.ndarray, tol: Tolerances, what: str = "input"):
         raise NotHermitianError(f"{what} is not Hermitian (residual {resid:.3e})")
 
 
-def psd_sqrt(m, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
-    """Hermitian PSD square root via eigendecomposition.
-
-    Eigenvalues within ``psd_atol`` of zero are clamped to exactly zero
-    (both signs: defect operators of norm-one contractions must acquire
-    genuine kernels, not sqrt(round-off) noise), anything below the floor
-    raises :class:`NotPSDError`.
-    """
-    a = as_matrix(m)
-    _check_hermitian(a, tol, "psd_sqrt input")
-    if a.size == 0:
-        return a.copy()
-    w, v = np.linalg.eigh(herm(a))
-    if w[0] < -tol.psd_atol:
-        raise NotPSDError(f"eigenvalue {w[0]:.3e} below -psd_atol")
-    w = np.where(np.abs(w) <= tol.psd_atol, 0.0, w)
-    return (v * np.sqrt(w)) @ v.conj().T
-
-
-def _svd(m: np.ndarray):
-    return np.linalg.svd(m, full_matrices=True)
-
-
 def _rank(s: np.ndarray, tol: Tolerances) -> int:
     """Count of the descending singular values s above rank_rtol * s[0]."""
     if s.size == 0 or s[0] == 0.0:
@@ -201,8 +159,10 @@ def _rank(s: np.ndarray, tol: Tolerances) -> int:
 def _defect_roots(s: np.ndarray, tol: Tolerances, *widths) -> list:
     """For each width, the roots (1 - s^2)^(1/2) of a contraction's singular
     values s padded with ones to it, and the mask of the roots that _rank
-    keeps.  1 - s^2 = (1 - s)(1 + s) within psd_atol of zero is 0, as
-    psd_sqrt clamps, and below -psd_atol raises NotPSDError."""
+    keeps.  1 - s^2 = (1 - s)(1 + s) within psd_atol of zero (either sign)
+    is clamped to exactly 0, so that norm-one directions form a genuine
+    kernel instead of sqrt(round-off) noise; below -psd_atol raises
+    NotPSDError."""
     gap = (1.0 - s) * (1.0 + s)
     if gap.size and gap.min() < -tol.psd_atol:
         raise NotPSDError(f"1 - s^2 = {gap.min():.3e} below -psd_atol")
@@ -211,28 +171,14 @@ def _defect_roots(s: np.ndarray, tol: Tolerances, *widths) -> list:
         np.concatenate([roots, np.ones(w - s.size)]) if w > s.size else roots for w in widths)]
 
 
-def rank_of(m, tol: Tolerances = DEFAULT_TOL) -> int:
-    a = as_matrix(m)
-    if a.size == 0:
-        return 0
-    return _rank(np.linalg.svd(a, compute_uv=False), tol)
-
-
-def pinv(m, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
-    """Moore-Penrose pseudoinverse with the relative rank cutoff."""
-    a = as_matrix(m)
-    if a.size == 0:
-        return a.conj().T.copy()
-    u, s, vh = _svd(a)
-    k, n = _rank(s, tol), s.size
-    inv = np.zeros(n)
-    inv[:k] = 1.0 / s[:k]
-    return vh.conj().T[:, :n] @ np.diag(inv) @ u.conj().T[:n, :]
-
-
 @dataclass(frozen=True)
 class Subspace:
-    """Closed subspace of C^d given by an orthonormal column basis."""
+    """Closed subspace of C^d given by an orthonormal column basis.
+
+    The public constructor checks the basis; :meth:`_trusted` does not, for
+    columns orthonormal by construction (singular vectors, eigh vectors, a
+    QR factor).
+    """
 
     ambient_dim: int
     basis: np.ndarray  # shape (ambient_dim, dim), orthonormal columns
@@ -249,6 +195,14 @@ class Subspace:
                 raise ValueError("basis columns are not orthonormal")
         object.__setattr__(self, "basis", b)
 
+    @classmethod
+    def _trusted(cls, ambient_dim: int, basis: np.ndarray) -> "Subspace":
+        """Subspace on complex columns known to be orthonormal: no checks."""
+        s = object.__new__(cls)
+        object.__setattr__(s, "ambient_dim", ambient_dim)
+        object.__setattr__(s, "basis", basis)
+        return s
+
     @property
     def dim(self) -> int:
         return self.basis.shape[1]
@@ -259,11 +213,11 @@ class Subspace:
     def complement(self) -> "Subspace":
         """Orthogonal complement within the ambient space."""
         if self.dim == 0:
-            return Subspace(self.ambient_dim, np.eye(self.ambient_dim, dtype=complex))
+            return Subspace._trusted(self.ambient_dim, np.eye(self.ambient_dim, dtype=complex))
         # eigenvectors of I - P at eigenvalue ~1 form an exact orthonormal
         # basis of the complement (the spectrum is {0, 1} up to round-off)
         w, v = np.linalg.eigh(np.eye(self.ambient_dim) - self.projector())
-        return Subspace(self.ambient_dim, v[:, w > 0.5])
+        return Subspace._trusted(self.ambient_dim, v[:, w > 0.5])
 
     def max_principal_sine(self, other: "Subspace") -> float:
         """sin of the largest principal angle from self into other.
@@ -290,33 +244,24 @@ class Subspace:
         if self.ambient_dim != other.ambient_dim:
             raise ShapeMismatchError("subspaces live in different ambient spaces")
         if self.dim == 0 or other.dim == 0:
-            return Subspace(self.ambient_dim, np.zeros((self.ambient_dim, 0), complex))
+            return Subspace._trusted(self.ambient_dim, np.zeros((self.ambient_dim, 0), complex))
         r = other.basis - self.basis @ (self.basis.conj().T @ other.basis)
         _, s, vh = np.linalg.svd(r, full_matrices=True)
         s = np.concatenate([s, np.zeros(other.dim - s.size)])
         cols = other.basis @ vh.conj().T[:, s <= angle_tol]
         if cols.shape[1] == 0:
-            return Subspace(self.ambient_dim, cols)
+            return Subspace._trusted(self.ambient_dim, cols)
         q, _ = np.linalg.qr(cols)
-        return Subspace(self.ambient_dim, q)
-
-
-def kernel_of(m, tol: Tolerances = DEFAULT_TOL) -> Subspace:
-    """Orthonormal basis of the numerical kernel."""
-    a = as_matrix(m)
-    if a.size == 0:
-        return Subspace(a.shape[1], np.eye(a.shape[1], dtype=complex))
-    _, s, vh = _svd(a)
-    return Subspace(a.shape[1], vh.conj().T[:, _rank(s, tol):])
+        return Subspace._trusted(self.ambient_dim, q)
 
 
 def range_of(m, tol: Tolerances = DEFAULT_TOL) -> Subspace:
-    """Orthonormal basis of the numerical range (column space)."""
+    """Orthonormal basis of the numerical range (column space), from a thin SVD."""
     a = as_matrix(m)
     if a.size == 0:
-        return Subspace(a.shape[0], np.zeros((a.shape[0], 0), dtype=complex))
-    u, s, _ = _svd(a)
-    return Subspace(a.shape[0], u[:, :_rank(s, tol)])
+        return Subspace._trusted(a.shape[0], np.zeros((a.shape[0], 0), dtype=complex))
+    u, s, _ = np.linalg.svd(a, full_matrices=False)
+    return Subspace._trusted(a.shape[0], u[:, :_rank(s, tol)])
 
 
 def psd_order_leq(a, b, tol: Tolerances = DEFAULT_TOL) -> bool:
@@ -330,59 +275,6 @@ def psd_order_leq(a, b, tol: Tolerances = DEFAULT_TOL) -> bool:
         return True
     w = np.linalg.eigvalsh(herm(bm - am))
     return bool(w[0] >= -tol.psd_atol)
-
-
-@dataclass(frozen=True)
-class DouglasSolution:
-    """Minimal-norm solution of a one-sided factorization problem."""
-
-    x: np.ndarray
-    residual: float
-
-
-def douglas_solve(lhs, factor, side: str, tol: Tolerances = DEFAULT_TOL) -> DouglasSolution:
-    """Solve lhs = x @ factor (side="right") or lhs = factor @ x (side="left").
-
-    Solvable exactly when the corresponding kernel/range inclusion holds;
-    the pseudoinverse candidate is then the minimal Frobenius-norm solution
-    and its residual detects infeasibility at the rank cutoff.
-
-    Raises
-    ------
-    DouglasInfeasibleError
-        when the inclusion fails beyond tolerance; carries a unit witness
-        vector (input direction for "right", output direction for "left").
-    """
-    l = as_matrix(lhs)
-    f = as_matrix(factor)
-    if side == "right":
-        if l.shape[1] != f.shape[1]:
-            raise ShapeMismatchError(
-                f"right solve needs matching column counts: {l.shape} vs {f.shape}")
-        x = l @ pinv(f, tol)
-        resid_m = l - x @ f
-    elif side == "left":
-        if l.shape[0] != f.shape[0]:
-            raise ShapeMismatchError(
-                f"left solve needs matching row counts: {l.shape} vs {f.shape}")
-        x = pinv(f, tol) @ l
-        resid_m = l - f @ x
-    else:
-        raise ValueError(f"side must be 'left' or 'right', got {side!r}")
-    residual = op_norm(resid_m)
-    bound = 10.0 * tol.rank_rtol * max(1.0, op_norm(l))
-    if residual > bound:
-        if resid_m.size:
-            u, s, vh = np.linalg.svd(resid_m)
-            witness = vh.conj().T[:, 0] if side == "right" else u[:, 0]
-        else:  # pragma: no cover - degenerate empty shapes
-            witness = np.zeros(0, dtype=complex)
-        raise DouglasInfeasibleError(
-            f"inclusion fails: residual {residual:.3e} > bound {bound:.3e}",
-            witness=witness,
-            residual=residual,
-        )
-    return DouglasSolution(x=x, residual=residual)
 
 
 def compress(m, out_basis: Subspace, in_basis: Subspace) -> np.ndarray:

@@ -62,7 +62,6 @@ __all__ = [
     "schur_poly",
     "schur_sup_norm",
     "segment_radius",
-    "toeplitz_truncate",
 ]
 
 ENDPOINT_RTOL = 1e-8
@@ -216,20 +215,6 @@ def schur_sup_norm(f: SchurPoly, tol: Tolerances = DEFAULT_TOL) -> float:
     """Certified upper bound of the sup-norm of f over the disc."""
     est, _ = _certified_sup(f.coeffs, tol)
     return est
-
-
-def toeplitz_truncate(f: SchurPoly, n: int) -> np.ndarray:
-    """n x n block lower-triangular Toeplitz section of the symbol f."""
-    if n < 0:
-        raise ValueError("n must be nonnegative")
-    rows, cols = f.shape
-    out = np.zeros((n * rows, n * cols), dtype=complex)
-    for i in range(n):
-        for j in range(i + 1):
-            k = i - j
-            if k < len(f.coeffs):
-                out[i * rows:(i + 1) * rows, j * cols:(j + 1) * cols] = f.coeffs[k]
-    return out
 
 
 def segment_radius(a: Contraction, b: Contraction,

@@ -24,6 +24,7 @@ from .asymptotics import asymptotic_limit
 from .contraction import (
     Contraction,
     NotDecomposableError,
+    _factored,
     classify,
     defect_data,
     make_contraction,
@@ -36,7 +37,6 @@ from .linalg import (
     Subspace,
     Tolerances,
     _rank,
-    _svd,
     compress,
     herm,
     op_norm,
@@ -244,11 +244,12 @@ def partial_isometry_part(w: Contraction,
         raise NotPartialIsometryError("operator is not a partial isometry")
     # the rank cut, not the defect clamp: classify admits 1 - s^2 up to
     # about PREDICATE_RTOL, above psd_atol
-    u, s, vh = _svd(w.mat)
+    u, s, vh = _factored(w)
     k = _rank(s, tol)
     rows, cols = w.shape
-    range_in, null_in = Subspace(cols, vh[:k].conj().T), Subspace(cols, vh[k:].conj().T)
-    range_out, null_out = Subspace(rows, u[:, :k]), Subspace(rows, u[:, k:])
+    range_in, null_in = (Subspace._trusted(cols, vh[:k].conj().T),
+                         Subspace._trusted(cols, vh[k:].conj().T))
+    range_out, null_out = Subspace._trusted(rows, u[:, :k]), Subspace._trusted(rows, u[:, k:])
     u_block = compress(w.mat, range_out, range_in)
 
     def membership(c: Contraction) -> Membership:

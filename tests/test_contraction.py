@@ -15,19 +15,19 @@ from contraction_lab import (
     up_decompose,
 )
 from contraction_lab import shmulyan
-from contraction_lab.corpus import KINDS, GenSpec, generate, random_unitary
+from contraction_lab.asymptotics import asymptotic_limit
+from contraction_lab.harnack import harnack_equivalence
+from contraction_lab.corpus import GenSpec, generate
 from contraction_lab.linalg import (
     DEFAULT_TOL,
     NotPSDError,
     Tolerances,
-    kernel_of,
     op_norm,
-    pinv,
-    psd_sqrt,
     range_of,
 )
 
-from conftest import rng_matrix, square_contractions
+from conftest import near_isometric_diag, reference_cases, rng_matrix, square_contractions
+from linalg_reference import kernel_of, pinv, psd_sqrt
 
 J = make_contraction([[0, 1], [0, 0]])
 
@@ -106,35 +106,6 @@ def reference_defect_data(t, tol):
     return out
 
 
-def near_isometric_diag(gap):
-    """diag(s, 0.5) with 1 - s^2 = gap."""
-    return np.diag([np.sqrt(1.0 - gap), 0.5]).astype(complex)
-
-
-def reference_cases():
-    for kind in KINDS:
-        for d in (1, 4, 16, 32):
-            made = generate(GenSpec(dim=d, kind=kind, seed=d))
-            for i, c in enumerate(made if isinstance(made, tuple) else (made,)):
-                yield f"{kind}-{d}-{i}", c.mat, DEFAULT_TOL
-    rng = np.random.default_rng(5)
-    co = random_unitary(rng, 3) @ np.eye(3, 5) @ random_unitary(rng, 5)
-    yield "coisometry-3x5", co, DEFAULT_TOL
-    yield "isometry-5x3", co.conj().T, DEFAULT_TOL
-    g = rng_matrix(6, 3, 5)
-    yield "random-3x5", 0.9 * g / op_norm(g), DEFAULT_TOL
-    yield "random-5x3", 0.9 * g.conj().T / op_norm(g), DEFAULT_TOL
-    yield "empty-0x3", np.zeros((0, 3), dtype=complex), DEFAULT_TOL
-    yield "unitary", random_unitary(rng, 5), DEFAULT_TOL
-    yield "nilpotent", generate(GenSpec(dim=5, kind="nilpotent_shift", seed=0,
-                                        params={"lam": 1.0})).mat, DEFAULT_TOL
-    atol = DEFAULT_TOL.psd_atol
-    for factor in (0.5, 2.0, -0.5):  # -0.5: slightly above norm one, clamped
-        yield f"gap-{factor}-psd_atol", near_isometric_diag(factor * atol), DEFAULT_TOL
-    # a root of 3e-5 is kept by the clamp and dropped by the rank cut
-    yield "rank-rtol-1e-4", near_isometric_diag(1e-9), Tolerances(rank_rtol=1e-4)
-
-
 class TestDefectDataReference:
     @pytest.mark.parametrize("t, tol", [pytest.param(t, tol, id=name)
                                         for name, t, tol in reference_cases()])
@@ -164,12 +135,41 @@ class TestDefectDataReference:
 
 
 def count_factorizations(monkeypatch):
-    counts = {"svd": 0, "eigh": 0}
-    for name in counts:
-        def counted(*args, _real=getattr(np.linalg, name), _name=name, **kwargs):
-            counts[_name] += 1
-            return _real(*args, **kwargs)
-        monkeypatch.setattr(np.linalg, name, counted)
+    """Count SVDs with singular vectors ("svd"), eigh calls, and spectral
+    norms ("norm": linalg.norm, or an SVD of singular values only)."""
+    counts = {"svd": 0, "eigh": 0, "norm": 0}
+    real_svd, real_eigh, real_norm = np.linalg.svd, np.linalg.eigh, np.linalg.norm
+
+    def svd(a, *args, **kwargs):
+        counts["svd" if kwargs.get("compute_uv", True) else "norm"] += 1
+        return real_svd(a, *args, **kwargs)
+
+    def eigh(*args, **kwargs):
+        counts["eigh"] += 1
+        return real_eigh(*args, **kwargs)
+
+    def norm(*args, **kwargs):
+        counts["norm"] += 1
+        return real_norm(*args, **kwargs)
+
+    for name, fn in (("svd", svd), ("eigh", eigh), ("norm", norm)):
+        monkeypatch.setattr(np.linalg, name, fn)
+    return counts
+
+
+def count_full_svds(monkeypatch, *mats):
+    """Count the SVDs with singular vectors taken of each of mats."""
+    counts = [0] * len(mats)
+    real_svd = np.linalg.svd
+
+    def svd(a, *args, **kwargs):
+        if kwargs.get("compute_uv", True):
+            for i, m in enumerate(mats):
+                if np.shape(a) == m.shape and np.array_equal(a, m):
+                    counts[i] += 1
+        return real_svd(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", svd)
     return counts
 
 
@@ -178,14 +178,56 @@ class TestOneFactorization:
         c = generate(GenSpec(dim=8, kind="partial_isometry", seed=1, params={"rank": 4}))
         counts = count_factorizations(monkeypatch)
         defect_data(c)
-        assert counts == {"svd": 1, "eigh": 0}
+        assert counts == {"svd": 1, "eigh": 0, "norm": 0}
 
     def test_factor_decision_takes_one_svd(self, monkeypatch):
         a = generate(GenSpec(dim=8, kind="partial_isometry", seed=1, params={"rank": 4}))
         b = generate(GenSpec(dim=8, kind="strict", seed=2))
         counts = count_factorizations(monkeypatch)
         assert not shmulyan._factor_dominates(b, a, DEFAULT_TOL)
-        assert counts == {"svd": 1, "eigh": 0}
+        assert counts == {"svd": 1, "eigh": 0, "norm": 3}
+
+    def test_both_orders_share_one_svd_per_contraction(self, monkeypatch):
+        """The part, Harnack and Shmul'yan equivalence of a partial isometry w
+        and a member m of its part factor w once and m once."""
+        w0 = generate(GenSpec(dim=8, kind="partial_isometry", seed=3, params={"rank": 4}))
+        part = shmulyan.partial_isometry_part(w0)
+        m = make_contraction(w0.mat + part.null_out.basis @ (0.5 * np.eye(4))
+                             @ part.null_in.basis.conj().T)
+        w = Contraction(w0.mat)
+        counts = count_full_svds(monkeypatch, w.mat, m.mat)
+        shmulyan.partial_isometry_part(w)
+        assert harnack_equivalence(w, m).status == "equivalent"
+        assert shmulyan.shmulyan_equivalent(w, m).equivalent
+        assert counts == [1, 1]
+
+
+class TestTrustedBases:
+    """Bases built without the Subspace check are orthonormal to 1e-8."""
+
+    @staticmethod
+    def bases(c, tol):
+        dd = defect_data(c, tol)
+        out = [dd.defect_space, dd.null_dt, dd.defect_space_star, dd.null_dtstar,
+               range_of(c.mat, tol), range_of(c.mat.conj().T, tol),
+               dd.defect_space_star.intersect(range_of(c.mat, tol)),
+               dd.defect_space.intersect(dd.null_dt)]
+        if "partial_isometry" in classify(c, tol):
+            part = shmulyan.partial_isometry_part(c, tol)
+            out += [part.range_in, part.null_in, part.range_out, part.null_out]
+        if c.is_square:
+            lim, lim_star = asymptotic_limit(c, tol), asymptotic_limit(c.adjoint(), tol)
+            out += [lim.null_s, lim.fix_s, lim.fix_s.intersect(lim_star.fix_s)]
+        return out + [s.complement() for s in out]
+
+    @pytest.mark.parametrize("t, tol", [pytest.param(t, tol, id=name)
+                                        for name, t, tol in reference_cases()])
+    def test_orthonormal(self, t, tol):
+        for space in self.bases(make_contraction(t, tol), tol):
+            b = space.basis
+            assert b.shape == (space.ambient_dim, space.dim)
+            if space.dim:
+                assert op_norm(b.conj().T @ b - np.eye(space.dim)) <= 1e-8
 
 
 class TestClassify:

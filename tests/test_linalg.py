@@ -1,4 +1,5 @@
-"""Numeric substrate: square roots, pseudoinverses, kernels, Douglas solves."""
+"""Numeric substrate: ranges, subspaces, the Loewner order, and the test-side
+reference square roots, pseudoinverses and kernels."""
 
 import numpy as np
 import pytest
@@ -6,23 +7,19 @@ from hypothesis import given, settings
 
 from contraction_lab.linalg import (
     DEFAULT_TOL,
-    DouglasInfeasibleError,
     NotHermitianError,
     NotPSDError,
     Subspace,
     Tolerances,
-    douglas_solve,
-    kernel_of,
     matrix_from_json,
     matrix_to_json,
     op_norm,
-    pinv,
     psd_order_leq,
-    psd_sqrt,
     range_of,
 )
 
-from conftest import psd_matrices, rectangular_matrices, rng_matrix
+from conftest import psd_matrices, rectangular_matrices, reference_cases, rng_matrix
+from linalg_reference import kernel_of, pinv, psd_sqrt
 
 J = np.array([[0, 1], [0, 0]], dtype=complex)
 
@@ -123,6 +120,14 @@ class TestOrderAndNorm:
     def test_op_norm_identity(self):
         assert op_norm(np.eye(4)) == pytest.approx(1.0)
 
+    @pytest.mark.parametrize("m", [pytest.param(m, id=name) for name, m, _ in reference_cases()]
+                             + [pytest.param(rng_matrix(31, 3, 5), id="gaussian-3x5"),
+                                pytest.param(rng_matrix(32, 5, 3), id="gaussian-5x3")])
+    def test_op_norm_is_the_spectral_norm_bit_for_bit(self, m):
+        # the reference cases include a 0x3 matrix, whose norm is 0.0
+        expected = float(np.linalg.norm(m, 2)) if m.size else 0.0
+        assert op_norm(m) == expected
+
     def test_psd_order(self):
         assert psd_order_leq(np.zeros((2, 2)), np.eye(2))
         assert not psd_order_leq(np.diag([1.0, 0.0]), np.diag([0.0, 1.0]))
@@ -130,43 +135,6 @@ class TestOrderAndNorm:
     def test_psd_order_rejects_non_hermitian(self):
         with pytest.raises(NotHermitianError):
             psd_order_leq(J, np.eye(2))
-
-
-class TestDouglas:
-    def test_trivial_projection(self):
-        d = np.diag([1.0, 0.0])
-        sol = douglas_solve(d, d, "right")
-        assert np.allclose(sol.x, d)
-        assert sol.residual < 1e-12
-
-    def test_kernel_mismatch_witness(self):
-        with pytest.raises(DouglasInfeasibleError) as err:
-            douglas_solve(np.diag([0.0, 1.0]), np.diag([1.0, 0.0]), "right")
-        witness = err.value.witness
-        assert abs(abs(witness[1]) - 1.0) < 1e-9  # direction e2
-
-    def test_scalar_division(self):
-        sol = douglas_solve(np.array([[0.3]]), np.array([[0.6]]), "right")
-        assert sol.x[0, 0] == pytest.approx(0.5)
-
-    def test_left_side(self):
-        f = rng_matrix(3, 3, 2)
-        x0 = rng_matrix(4, 2, 3)
-        lhs = f @ x0
-        sol = douglas_solve(lhs, f, "left")
-        assert op_norm(lhs - f @ sol.x) <= 10 * DEFAULT_TOL.rank_rtol * op_norm(lhs)
-
-    def test_minimal_norm_solution(self):
-        # feasible right solve: the pinv formula is the closed form of the
-        # minimal Frobenius-norm solution
-        f = rng_matrix(7, 2, 4)
-        x0 = rng_matrix(8, 3, 2)
-        lhs = x0 @ f
-        sol = douglas_solve(lhs, f, "right")
-        closed = lhs @ pinv(f)
-        assert op_norm(sol.x - closed) < 1e-10
-        perturb = sol.x + rng_matrix(9, 3, 2) @ (np.eye(2) - f @ pinv(f))
-        assert np.linalg.norm(sol.x, "fro") <= np.linalg.norm(perturb, "fro") + 1e-12
 
 
 class TestSubspace:

@@ -18,7 +18,6 @@ from contraction_lab import (
     schur_sup_norm,
     segment_radius,
     shmulyan_equivalent,
-    toeplitz_truncate,
 )
 from contraction_lab import defect_data, schur, shmulyan
 from contraction_lab.corpus import GenSpec, generate, random_unitary
@@ -279,26 +278,6 @@ class TestHeapMatchesLinearScan:
     def test_shortcuts_and_identity(self, coeffs):
         got = schur._grid_sup(coeffs, DEFAULT_TOL)
         assert got == linear_scan_sup(coeffs, DEFAULT_TOL)
-
-
-class TestToeplitz:
-    def test_constant_block_diagonal(self):
-        t = scaled_contraction(1, 2, 0.7)
-        block = toeplitz_truncate(schur_poly([t.mat]), 3)
-        expected = np.kron(np.eye(3), t.mat)
-        assert np.allclose(block, expected)
-
-    def test_shift_symbol(self):
-        f = schur_poly([np.zeros((1, 1)), np.ones((1, 1))])
-        assert np.allclose(toeplitz_truncate(f, 2), [[0, 0], [1, 0]])
-
-    @settings(max_examples=15, deadline=None)
-    @given(seed=st.integers(0, 10**6), degree=st.integers(0, 3))
-    def test_sections_below_certified_norm(self, seed, degree):
-        f = rand_poly(seed, 2, 2, degree)
-        norms = [op_norm(toeplitz_truncate(f, n)) for n in (1, 2, 4, 6)]
-        assert all(norms[i] <= norms[i + 1] + 1e-12 for i in range(len(norms) - 1))
-        assert norms[-1] <= f.sup_norm_estimate + 1e-9
 
 
 class TestSegmentRadius:

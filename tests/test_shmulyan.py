@@ -17,7 +17,7 @@ from contraction_lab import (
 from contraction_lab.corpus import GenSpec, generate, random_unitary
 from contraction_lab.harnack import NOT_DOMINATED, harnack_dominates
 from contraction_lab import segments, shmulyan
-from contraction_lab.linalg import DEFAULT_TOL, Tolerances, kernel_of, op_norm, range_of, rank_of
+from contraction_lab.linalg import DEFAULT_TOL, Tolerances, op_norm, range_of
 from contraction_lab.segments import proven_radius
 from contraction_lab.shmulyan import (
     IncompatibleSplitsError,
@@ -31,6 +31,7 @@ from contraction_lab.shmulyan import (
 )
 
 from conftest import rng_matrix, scaled_contraction, square_contractions
+from linalg_reference import kernel_of, rank_of
 from test_segments import segment_case
 
 J = make_contraction([[0, 1], [0, 0]])
