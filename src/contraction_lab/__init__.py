@@ -66,7 +66,6 @@ from .schur import (
     partial_isometry_arc,
     schur_part_member,
     schur_poly,
-    schur_sup_norm,
     segment_radius,
 )
 from .shmulyan import (

@@ -42,7 +42,7 @@ BLOCK_RTOL = 1e-8
 
 
 class NoConvergenceError(RuntimeError):
-    """Fixed-point iteration hit its cap before meeting conv_tol."""
+    """Fixed-point iteration hit its cap before meeting conv_tol, or left the ball."""
 
     def __init__(self, residual: float, iterations: int):
         super().__init__(
@@ -71,8 +71,11 @@ def asymptotic_limit(c: Contraction,
     The quadratic forms of A_n = T*^n T^n decrease monotonically, so the
     subsampled sequence at powers 2^k converges; doubling the power keeps
     the iteration faithful to the definition while reaching the limit in
-    logarithmically many multiplies even for non-diagonalizable T.  The
-    result is cached on c per tolerances, so its arrays are read-only.
+    logarithmically many multiplies even for non-diagonalizable T.  A
+    power A_n whose largest diagonal entry, a lower bound of its norm,
+    exceeds 1 + contraction_slack proves T no contraction and raises
+    NoConvergenceError.  The result is cached on c per tolerances, so its
+    arrays are read-only.
     """
     if not c.is_square:
         raise ValueError("asymptotic_limit expects a square contraction")
@@ -98,6 +101,8 @@ def _compute_limit(c: Contraction, tol: Tolerances) -> AsymptoticData:
         m = m @ m
         power *= 2
         a = m.conj().T @ m
+        if a.diagonal().real.max() > 1.0 + tol.contraction_slack:
+            break
         resid = op_norm(a - a_prev)
         a_prev = a
         if resid < tol.conv_tol:

@@ -284,7 +284,9 @@ def ttstar_power_limit(c: Contraction, tol: Tolerances = DEFAULT_TOL) -> PowerLi
 
     Every matrix contraction has closed defect range, so the powers
     converge in norm to the orthogonal projection onto N(D_T); the number
-    of squarings needed depends on the spectral gap of T*T at 1.
+    of squarings needed depends on the spectral gap of T*T at 1.  A power
+    whose largest diagonal entry, a lower bound of its norm, exceeds 1 +
+    contraction_slack proves T no contraction: converged is False.
     """
     if not c.is_square:
         raise ValueError("ttstar_power_limit expects a square contraction")
@@ -298,4 +300,6 @@ def ttstar_power_limit(c: Contraction, tol: Tolerances = DEFAULT_TOL) -> PowerLi
         a = a @ a
         power *= 2
         resid = op_norm(a - p)
+        if a.diagonal().real.max() > 1.0 + tol.contraction_slack:
+            return PowerLimit(False, power, resid, p)
     return PowerLimit(resid < tol.conv_tol, power, resid, p)

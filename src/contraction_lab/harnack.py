@@ -328,7 +328,7 @@ def harnack_dominates(a: Contraction, b: Contraction,
     kernel = svd[2].conj().T[:, ~keep]  # defect_data(a).null_dt.basis
     leak, bound = _kernel_leak(diff, kernel)
     if leak > bound:
-        _, _, vh = np.linalg.svd(diff @ kernel)
+        _, _, vh = np.linalg.svd(diff @ kernel, full_matrices=False)
         return HarnackVerdict(NOT_DOMINATED, [], [], kernel @ vh[0].conj(), 1, 0.0,
                               "kernel-escape")
     if full_trace:

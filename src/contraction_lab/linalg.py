@@ -246,8 +246,7 @@ class Subspace:
         if self.dim == 0 or other.dim == 0:
             return Subspace._trusted(self.ambient_dim, np.zeros((self.ambient_dim, 0), complex))
         r = other.basis - self.basis @ (self.basis.conj().T @ other.basis)
-        _, s, vh = np.linalg.svd(r, full_matrices=True)
-        s = np.concatenate([s, np.zeros(other.dim - s.size)])
+        _, s, vh = np.linalg.svd(r, full_matrices=False)
         cols = other.basis @ vh.conj().T[:, s <= angle_tol]
         if cols.shape[1] == 0:
             return Subspace._trusted(self.ambient_dim, cols)

@@ -3,13 +3,15 @@
 Polynomials F(lambda) = sum coeffs[k] lambda^k with contractive values on
 the disc connect Shmul'yan-equivalent contractions; chains of such arcs
 bound the Kobayashi pseudo-distance from above by summed hyperbolic hop
-lengths.  Sup-norms are certified by circle sampling plus a derivative
-(Lipschitz) error term on every grid arc.  Refinement is best-first: the
-arcs sit on a binary heap keyed by their bound, the worst arc is bisected
-next, and ties go to the oldest arc.  Degree-1 polynomials c0 + lambda c1
-are also certified by the whitened numerical radius of ``segments``, the
-bound that sizes every hop of an arc chain, so a hop is proven by the
-same bound that chose it.  Every reported bound is a true upper bound.
+lengths.  An arc the library builds (a hop of ``connect_arc``, the arc of
+``partial_isometry_arc``) is degree 1 and carries the whitened
+numerical-radius bound of ``segments`` alone, the bound that sized it.  A
+polynomial the library is given is certified by ``schur_poly``: circle
+sampling plus a derivative (Lipschitz) error term on every grid arc, with
+best-first refinement (the arcs sit on a binary heap keyed by their bound,
+the worst arc is bisected next, and ties go to the oldest arc), capped on
+degree 1 by the whitened bound.  Every reported bound is a true upper
+bound.
 """
 
 from __future__ import annotations
@@ -60,7 +62,6 @@ __all__ = [
     "partial_isometry_arc",
     "schur_part_member",
     "schur_poly",
-    "schur_sup_norm",
     "segment_radius",
 ]
 
@@ -211,12 +212,6 @@ def schur_poly(coeffs, tol: Tolerances = DEFAULT_TOL) -> SchurPoly:
     return SchurPoly(coeffs=mats, sup_norm_estimate=est, method=method)
 
 
-def schur_sup_norm(f: SchurPoly, tol: Tolerances = DEFAULT_TOL) -> float:
-    """Certified upper bound of the sup-norm of f over the disc."""
-    est, _ = _certified_sup(f.coeffs, tol)
-    return est
-
-
 def segment_radius(a: Contraction, b: Contraction,
                    tol: Tolerances = DEFAULT_TOL) -> float:
     """Proven lower bound of the largest r with ||(1-eps)a + eps b|| <= 1 +
@@ -251,11 +246,6 @@ class ArcResult:
     certificate: Optional[ArcCertificate]
 
 
-def _affine_arc(point: np.ndarray, coeff: np.ndarray,
-                tol: Tolerances) -> SchurPoly:
-    return schur_poly([point, coeff], tol)
-
-
 def connect_arc(t: Contraction, t_prime: Contraction,
                 tol: Tolerances = DEFAULT_TOL) -> ArcResult:
     """Greedy affine chain from t to t_prime inside the unit ball.
@@ -265,8 +255,9 @@ def connect_arc(t: Contraction, t_prime: Contraction,
     distinct "budget_exhausted" outcome.  Equivalence is the decision of
     ``shmulyan_dominates`` in both directions, without its audit routes.
     Each hop from the point p on the segment is p + lambda s u with s =
-    (1 - HOP_MARGIN) times the proven radius of p along u, so every
-    degree-1 arc is certified by the same whitened bound that sized it.
+    (1 - HOP_MARGIN) times the proven radius of p along u, and carries the
+    whitened bound of :func:`_whitened_sup`, the bound that sized it, as
+    its sup-norm: at most 1 + contraction_slack by construction.
     """
     if t.shape != t_prime.shape:
         raise ShapeMismatchError(f"shape mismatch {t.shape} vs {t_prime.shape}")
@@ -287,21 +278,15 @@ def connect_arc(t: Contraction, t_prime: Contraction,
             return ArcResult("budget_exhausted", None)
         if math.isinf(s_max):
             s_max = max(4.0 * (1.0 - tau), 1.0)
-        coeff = s_max * u
-        remaining = 1.0 - tau
-        if remaining <= s_max * 0.97:
-            lam = remaining / s_max
-            arc = _affine_arc(point, coeff, tol)
-            arcs.append((arc, complex(lam)))
-            residuals.append(op_norm(arc.eval_at(lam) - t_prime.mat))
-            bound += math.atanh(min(lam, 1.0 - 1e-15))
-            tau = 1.0
-            break
-        lam = HOP_FRACTION
-        arc = _affine_arc(point, coeff, tol)
+        coeffs = (point, s_max * u)
+        arc = SchurPoly(coeffs, _whitened_sup(coeffs, tol), "whitened")
+        final = 1.0 - tau <= s_max * 0.97
+        lam = (1.0 - tau) / s_max if final else HOP_FRACTION
         arcs.append((arc, complex(lam)))
-        residuals.append(0.0)
+        residuals.append(op_norm(arc.eval_at(lam) - t_prime.mat) if final else 0.0)
         bound += math.atanh(lam)
+        if final:
+            break
         tau += lam * s_max
     else:
         return ArcResult("budget_exhausted", None)
@@ -321,7 +306,8 @@ def partial_isometry_arc(w: Contraction, t_prime: Contraction,
     With Z the member's pure block and rho = ||Z||, the arc
     F(lambda) = w + lambda * (embedded Z / sqrt(rho)) reaches t_prime at
     lambda = sqrt(rho) and stays contractive since its defect coefficient
-    has norm sqrt(rho) < 1; the bound is atanh(sqrt(rho)).
+    has norm sqrt(rho) < 1; the bound is atanh(sqrt(rho)).  The arc
+    carries the whitened bound of :func:`_whitened_sup` as its sup-norm.
     """
     part = partial_isometry_part(w, tol)
     membership = part.membership_test(t_prime)
@@ -333,7 +319,8 @@ def partial_isometry_arc(w: Contraction, t_prime: Contraction,
         return ArcCertificate((), 0.0, ())
     lam0 = math.sqrt(rho)
     embedded = part.null_out.basis @ (z / lam0) @ part.null_in.basis.conj().T
-    arc = schur_poly([w.mat, embedded], tol)
+    coeffs = (w.mat, embedded)
+    arc = SchurPoly(coeffs, _whitened_sup(coeffs, tol), "whitened")
     resid = (op_norm(arc.eval_at(0.0) - w.mat),
              op_norm(arc.eval_at(lam0) - t_prime.mat))
     return ArcCertificate(

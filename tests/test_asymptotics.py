@@ -1,10 +1,13 @@
 """Asymptotic limits, triangulations, classes, and reducing parts."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 
 from contraction_lab import (
+    Contraction,
     asymptotic_limit,
     canonical_triangulation,
     class_of,
@@ -16,7 +19,7 @@ from contraction_lab import (
     reducing_unitary_part,
 )
 from contraction_lab import asymptotics
-from contraction_lab.asymptotics import ClassFlags, stability_flags
+from contraction_lab.asymptotics import ClassFlags, NoConvergenceError, stability_flags
 from contraction_lab.corpus import GenSpec, generate
 from contraction_lab.linalg import DEFAULT_TOL, Subspace, op_norm
 
@@ -77,6 +80,15 @@ class TestAsymptoticLimit:
         assert data.idempotent
         p = defect_data(c).null_dt.projector()
         assert op_norm(data.s_t - p) < 1e-8
+
+    @pytest.mark.filterwarnings("error")
+    def test_power_leaving_the_ball_stops(self):
+        # built directly, with norm 1 + 2.5e-11: squaring alone overflows
+        c = Contraction(np.diag([math.sqrt(1 + 5e-11), 0.5]))
+        with pytest.raises(NoConvergenceError) as info:
+            asymptotic_limit(c)
+        assert info.value.iterations == 4
+        assert math.isfinite(info.value.residual)
 
 
 class TestTriangulation:

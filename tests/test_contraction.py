@@ -1,5 +1,7 @@
 """Contraction validation, defect data, classification, and the U+Q split."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -318,3 +320,12 @@ class TestPowerLimit:
         limit = ttstar_power_limit(c)
         assert limit.converged
         assert np.allclose(limit.projection, np.diag([1.0, 0.0, 0.0]))
+
+    @pytest.mark.filterwarnings("error")
+    def test_power_leaving_the_ball_stops(self):
+        # built directly, with norm 1 + 2.5e-11: squaring alone overflows
+        c = Contraction(np.diag([math.sqrt(1 + 5e-11), 0.5]))
+        limit = ttstar_power_limit(c)
+        assert not limit.converged
+        assert limit.power == 4
+        assert math.isfinite(limit.residual)

@@ -15,7 +15,6 @@ from contraction_lab import (
     partial_isometry_arc,
     schur_part_member,
     schur_poly,
-    schur_sup_norm,
     segment_radius,
     shmulyan_equivalent,
 )
@@ -85,7 +84,7 @@ class TestSupNorm:
     def test_upper_bound_dominates_samples(self, coeffs):
         f = schur_poly(coeffs)
         dense = circle_samples(f.coeffs, 16384).max()
-        assert schur_sup_norm(f) >= dense - 1e-12
+        assert f.sup_norm_estimate >= dense - 1e-12
 
     def test_spent_budget_is_labelled(self):
         # the degree-2 flat-norm polynomial keeps a gap after SPLIT_BUDGET
@@ -368,10 +367,14 @@ def arc_pair(kind, d, seed):
     return (w, member()) if kind == "eq-w-member" else (member(), member())
 
 
+# dense circle samples per hop; fewer at large d keep the stack small
+DENSE_SAMPLES = {16: 2048, 32: 512}
+
+
 class TestProvenHops:
     """Every hop of a chain is certified inside the ball by its own bound."""
 
-    @pytest.mark.parametrize("d", [2, 3, 4, 8])
+    @pytest.mark.parametrize("d", [2, 3, 4, 8, 16, 32])
     @pytest.mark.parametrize("kind", ["eq-strict", "eq-ball", "eq-members", "eq-w-member"])
     def test_hops_certified(self, kind, d):
         slack = DEFAULT_TOL.contraction_slack
@@ -380,10 +383,25 @@ class TestProvenHops:
             result = connect_arc(a, b)
             assert result.status == "connected", (kind, d, seed)
             for arc, _lam in result.certificate.arcs:
-                assert arc.sup_norm_estimate <= 1.0 + slack, (kind, d, seed, arc.method)
+                assert arc.method == "whitened"
+                assert arc.sup_norm_estimate <= 1.0 + slack, (kind, d, seed)
                 # the samples may exceed a bound of exactly 1 by SVD rounding
-                dense = circle_samples(arc.coeffs, 16384).max()
+                dense = circle_samples(arc.coeffs, DENSE_SAMPLES.get(d, 16384)).max()
                 assert dense <= arc.sup_norm_estimate + 1e-12, (kind, d, seed)
+
+    def test_library_arcs_skip_the_grid(self, monkeypatch):
+        # arcs the library builds carry the whitened bound that sized them
+        def refuse(*args, **kwargs):
+            raise AssertionError("_grid_sup called")
+
+        monkeypatch.setattr(schur, "_grid_sup", refuse)
+        for a, b in ((J, JZ), arc_pair("eq-strict", 3, 5)):
+            assert connect_arc(a, b).status == "connected"
+            assert math.isfinite(kobayashi_upper_bound(a, b))
+        w, member = arc_pair("eq-w-member", 4, 7)
+        (arc, _lam), = partial_isometry_arc(w, member).arcs
+        assert arc.method == "whitened"
+        assert arc.is_schur_class()
 
     def test_hop_uses_the_proven_radius(self):
         a, b = arc_pair("eq-strict", 3, 5)
