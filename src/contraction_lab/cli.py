@@ -171,8 +171,8 @@ def _cmd_dominate(args, tol) -> int:
             "dominates": verdict.dominates,
             "routes": verdict.route_agreement,
             "residuals": verdict.residuals,
-            "radius": None if verdict.radius is None or math.isinf(verdict.radius)
-            else verdict.radius,
+            # the proven segment radius; null when unbounded
+            "radius": None if math.isinf(verdict.radius) else verdict.radius,
             "marginal": verdict.marginal,
         }
         _emit(report, args, started)

@@ -13,10 +13,12 @@ one, from the whitened numerical radius: ||c + eps u|| <= 1 on |eps| <= r
 exactly when P + eps N + conj(eps) N* >= 0 with P = [[I, c], [c*, I]] and
 N = [[0, u], [0, 0]]; a small leak of N onto ker P is charged to the
 slack.  ``_kernel_leak``, the one test of a leak onto isometric directions,
-decides the disc, the Shmul'yan order and Harnack level 1.
-``radius_search`` looks only at sampled points of the circles, so its
-radius is a sampled estimate: the circle may leave the ball between two
-samples.
+decides the disc, the Shmul'yan order and Harnack level 1.  The arc hops
+and the Shmul'yan segment route read ``proven_radius``, the latter from the
+dominator's cached SVD.  ``radius_search`` looks only at sampled points of
+the circles, so its radius is a sampled estimate: the circle may leave the
+ball between two samples.  The library no longer calls it; it stays for
+the benchmark tracer, which requires its bindings.
 """
 
 from __future__ import annotations
@@ -41,6 +43,10 @@ PRUNE_MARGIN = 1e-12
 # Angles of the numerical-radius grid of proven_radius; the grid maximum is
 # within a factor cos(pi / 256) = 1 - 7.5e-5 of the numerical radius.
 RADIUS_ANGLES = 256
+# At most this many matrix entries per eigvalsh stack of the numerical-radius
+# grid (1 MB of complex floats): all 128 angles in one stack up to size 22,
+# eight stacks of 16 at size 64 (d = 32).
+EIG_BATCH_ENTRIES = 65536
 # A difference leaks onto an isometric kernel above LEAK_RTOL * max(1,
 # ||difference||) (see _kernel_leak); the Shmul'yan audit routes import it
 # as ROUTE_RTOL for their residuals.  Matrices live in the unit ball, so
@@ -266,19 +272,23 @@ def _whitened_disc(center, direction, tol: Tolerances = DEFAULT_TOL):
       most w(A), and the one of the maximizing x reaches w(A); so the
       grid angle nearest its peak sees at least w(A) cos(pi / M).  Since
       f(theta + pi) = -lambda_min(Re(e^{i theta} A)), M angles cost M/2
-      batched eigvalsh;
+      eigvalsh, batched EIG_BATCH_ENTRIES matrix entries at a time;
     - Kittaneh's w(A) <= (||A|| + ||A^2||^{1/2}) / 2 (Studia Math. 158,
       2003), exact when A^2 = 0, as on flat partial-isometry hops (A^2 from
       _whitened, not the rounded A A).
     The smaller one plus 4 m eps ||A|| for the rounding of the m x m
     eigenproblems is w_upper.
     """
-    c = as_matrix(center)
-    u = as_matrix(direction)
-    if c.size == 0:
+    return _factored_disc(np.linalg.svd(as_matrix(center)), as_matrix(direction), tol)
+
+
+def _factored_disc(factors, u, tol: Tolerances):
+    """:func:`_whitened_disc` of the center whose full SVD is ``factors``
+    (u, s, vh), such as a contraction's cached ``contraction._factored``."""
+    left, s, right_h = factors
+    if s.size == 0:
         return 0.0, 0.0, 0.0
-    m, n = c.shape
-    left, s, right_h = np.linalg.svd(c)
+    m, n = left.shape[0], right_h.shape[0]
     overshoot = max(0.0, float(s[0]) - 1.0)
     s = np.minimum(s, 1.0)
     (_, keep_in), (_, keep_out) = _defect_roots(s, tol, n, m)
@@ -298,10 +308,16 @@ def _whitened_disc(center, direction, tol: Tolerances = DEFAULT_TOL):
         return 0.0, overshoot, leak
     # Re(e^{i theta} A) = cos(theta) Re A + sin(theta) i (A - A*) / 2
     theta = unit_circle(RADIUS_ANGLES)[0][: RADIUS_ANGLES // 2]
-    stack = np.multiply.outer(np.cos(theta), 0.5 * (a + a.conj().T))
-    stack += np.multiply.outer(np.sin(theta), 0.5j * (a - a.conj().T))
-    ev = np.linalg.eigvalsh(stack)
-    grid = max(ev[:, -1].max(), -ev[:, 0].min()) / math.cos(math.pi / RADIUS_ANGLES)
+    cos, sin = np.cos(theta), np.sin(theta)
+    re_a, im_a = 0.5 * (a + a.conj().T), 0.5j * (a - a.conj().T)
+    step = max(1, EIG_BATCH_ENTRIES // (size * size))
+    top = -math.inf
+    for k in range(0, theta.size, step):
+        stack = np.multiply.outer(cos[k:k + step], re_a)
+        stack += np.multiply.outer(sin[k:k + step], im_a)
+        ev = np.linalg.eigvalsh(stack)
+        top = max(top, ev[:, -1].max(), -ev[:, 0].min())
+    grid = top / math.cos(math.pi / RADIUS_ANGLES)
     kittaneh = 0.5 * (a_norm + math.sqrt(op_norm(a_square)))
     omega = 2.0 * float(min(grid, kittaneh) + 4.0 * size * np.finfo(float).eps * a_norm)
     return omega, overshoot, leak
@@ -317,7 +333,12 @@ def proven_radius(center, direction, tol: Tolerances = DEFAULT_TOL) -> float:
     kernel of P (no disc; the not-dominated case) or the center is outside
     the ball, math.inf above RADIUS_CAP.
     """
-    omega, overshoot, leak = _whitened_disc(center, direction, tol)
+    return _disc_radius(_whitened_disc(center, direction, tol), tol)
+
+
+def _disc_radius(disc, tol: Tolerances) -> float:
+    """:func:`proven_radius` from the (omega, overshoot, leak) of a disc."""
+    omega, overshoot, leak = disc
     room = tol.contraction_slack - overshoot
     if math.isinf(omega) or room < 0.0:
         return 0.0

@@ -3,8 +3,9 @@
 A contraction b is Shmul'yan dominated by a when b = a + D_{a*} X D_a for
 some bounded X.  Three independent decision routes are implemented and
 must agree: the defining defect factorization, the cross-Gram
-factorization I - b*a = D_a Y D_a, and the segment criterion (some circle
-(1-eps)a + eps b of positive radius stays inside the unit ball).  X exists
+factorization I - b*a = D_a Y D_a, and the segment criterion (some disc
+(1-eps)a + eps b of positive radius stays inside the unit ball; its radius
+is segments.proven_radius, from the dominator's cached SVD).  X exists
 exactly when b - a vanishes on N(D_a) and (b - a)* on N(D_{a*}): the
 decision is the two-sided segments._kernel_leak.  On top
 of the directed oracle sit the structured criteria for partial isometries,
@@ -42,11 +43,11 @@ from .linalg import (
     op_norm,
     range_of,
 )
-# circle_max_norm is unused here; perfbench/spans.py checks that this binding
-# resolves to its traced wrapper, so it stays
-from .segments import RADIUS_FLOOR, circle_max_norm, radius_search  # noqa: F401
+# circle_max_norm and radius_search are unused here; perfbench/spans.py checks
+# that these bindings resolve to their traced wrappers, so they stay
+from .segments import circle_max_norm, radius_search  # noqa: F401
 # the residual threshold of the audit routes is the leak threshold: one policy
-from .segments import LEAK_RTOL as ROUTE_RTOL, _kernel_leak
+from .segments import LEAK_RTOL as ROUTE_RTOL, _disc_radius, _factored_disc, _kernel_leak
 
 __all__ = [
     "ColumnCriterion",
@@ -84,24 +85,23 @@ class ShmulyanVerdict:
 
     dominates        primary decision (defect-factorization route)
     x_solution       X with b = a + D_{a*} X D_a (minimal Frobenius norm)
-    y_solution       Y with I - b*a = D_a Y D_a
     route_agreement  per-route booleans; disagreement is a test failure
     witness          unit vector certifying infeasibility, when not dominated
-    radius           largest radius r whose sampled circle a + eps (b - a),
-                     |eps| = r, stays within 1 + contraction_slack (128
-                     samples; an estimate, not a proven radius: the circle
-                     can leave the ball between samples)
+    radius           segments.proven_radius(a, b - a): a proven lower bound
+                     of the largest r with ||a + eps (b - a)|| <= 1 +
+                     contraction_slack on the whole disc |eps| <= r; 0.0
+                     when not dominated, math.inf above segments.RADIUS_CAP
     residuals        the leak of the deciding route ("defect_factor") and
                      the residual norm of the cross-Gram route
-    marginal         some decision fell within a decade of its threshold
+    marginal         the leak or the cross-Gram residual fell within a
+                     decade of its threshold
     """
 
     dominates: bool
     x_solution: Optional[np.ndarray]
-    y_solution: Optional[np.ndarray]
     route_agreement: dict
     witness: Optional[np.ndarray]
-    radius: Optional[float]
+    radius: float
     residuals: dict
     marginal: bool
 
@@ -124,9 +124,12 @@ def shmulyan_dominates(b: Contraction, a: Contraction,
                        tol: Tolerances = DEFAULT_TOL) -> ShmulyanVerdict:
     """Decide whether b is Shmul'yan dominated by a (b = a + D_{a*} X D_a).
 
-    All three routes are evaluated; they agree except on adversarial
-    boundary inputs, and the verdict records each so disagreement can be
-    asserted against.
+    All three routes are evaluated, and the verdict records each so
+    disagreement can be asserted against.  The segment route reads the same
+    leak test as the decision, so those two agree by construction; the
+    cross-Gram route is second order in the leak (its residual is about
+    leak^2 / 2), so it accepts leaks up to about 1e-4 that the decision
+    rejects.
     """
     if b.shape != a.shape:
         raise ShapeMismatchError(f"shape mismatch {b.shape} vs {a.shape}")
@@ -137,12 +140,11 @@ def shmulyan_dominates(b: Contraction, a: Contraction,
     x = dd.d_tstar_pinv @ diff @ dd.d_t_pinv  # minimal-norm X when feasible
 
     gram = np.eye(a.shape[1], dtype=complex) - b.mat.conj().T @ a.mat
-    y, res_y, bound_y = _two_sided_solve(dd.d_t, dd.d_t_pinv, gram, dd.d_t, dd.d_t_pinv)
+    _, res_y, bound_y = _two_sided_solve(dd.d_t, dd.d_t_pinv, gram, dd.d_t, dd.d_t_pinv)
     feasible_gram = res_y <= bound_y
 
-    # radius_search starts with the circle |eps| = RADIUS_FLOOR and returns 0
-    # exactly when that circle leaves the ball
-    radius = radius_search(a.mat, diff, tol.contraction_slack, samples=128)
+    # the disc of the SVD that defect_data read, not a second factorization
+    radius = _disc_radius(_factored_disc(_factored(a), diff, tol), tol)
     feasible_segment = radius > 0.0
 
     witness = None
@@ -150,13 +152,12 @@ def shmulyan_dominates(b: Contraction, a: Contraction,
         _, _, vh = np.linalg.svd(diff - dd.d_tstar @ x @ dd.d_t)
         witness = vh[0].conj()  # a copy: the row view would pin all of vh
 
-    marginal = 0.0 < radius <= 10.0 * RADIUS_FLOOR or any(
-        bnd / 10.0 <= res <= 10.0 * bnd for res, bnd in ((leak, bound), (res_y, bound_y)))
+    marginal = any(bnd / 10.0 <= res <= 10.0 * bnd
+                   for res, bnd in ((leak, bound), (res_y, bound_y)))
 
     return ShmulyanVerdict(
         dominates=feasible_factor,
         x_solution=x if feasible_factor else None,
-        y_solution=y if feasible_gram else None,
         route_agreement={
             "defect_factor": feasible_factor,
             "cross_gram": feasible_gram,

@@ -356,3 +356,25 @@ class TestSingularDisc:
         monkeypatch.setattr(np.linalg, "eigh", refuse)
         omega, _, _ = segments._whitened_disc(c, u)
         assert 0.0 < omega < math.inf
+
+    def test_eigvalsh_batches_are_bounded(self, monkeypatch):
+        # at d = 32 the whitened A is 64 x 64: 128 angles in stacks of 16
+        c, u = segment_case("strict", 32, 3200)
+        batches, values = [], []
+        eigvalsh = np.linalg.eigvalsh
+
+        def record(a, *args, **kwargs):
+            ev = eigvalsh(a, *args, **kwargs)
+            batches.append(np.array(a))
+            values.append(max(ev[:, -1].max(), -ev[:, 0].min()))
+            return ev
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", record)
+        omega, _, _ = segments._whitened_disc(c, u)
+        assert 0.0 < omega < math.inf
+        assert len(batches) == 8
+        assert all(b.shape == (16, 64, 64) and b.size <= segments.EIG_BATCH_ENTRIES
+                   for b in batches)
+        # the same maximum as one stack of all 128 angles, bit for bit
+        whole = eigvalsh(np.concatenate(batches))
+        assert max(values) == max(whole[:, -1].max(), -whole[:, 0].min())

@@ -32,6 +32,7 @@ from contraction_lab.shmulyan import (
 
 from conftest import rng_matrix, scaled_contraction, square_contractions
 from linalg_reference import kernel_of, rank_of
+from test_harnack import b_eps
 from test_segments import segment_case
 
 J = make_contraction([[0, 1], [0, 0]])
@@ -465,3 +466,69 @@ class TestOneLeakTest:
         got = {label: harnack_dominates(a, b).method == "kernel-escape"
                for label, a, b in square_pairs() if "leak" in label and "reversed" not in label}
         assert got and all(esc == ("-2.0-" in label) for label, esc in got.items())
+
+
+def _circle_max(c, u, r, samples=16384, chunk=1024):
+    """max over |lam| = 1 of ||c + r lam u|| on ``samples`` points, in chunks."""
+    lam = segments.unit_circle(samples)[1]
+    return max(segments.poly_norms((c, u), r * lam[k:k + chunk]).max()
+               for k in range(0, samples, chunk))
+
+
+class TestVerdictRadius:
+    """The segment route reports the proven radius of the dominator's disc."""
+
+    @pytest.mark.parametrize("d", [4, 8, 16])
+    def test_circle_through_the_radius_stays_inside(self, d):
+        # U + strict dominators and their ball members a + D_{a*} X D_a: the
+        # sampled radius search returned radii whose circle left the ball,
+        # by up to 5e-5, on every one of these pairs
+        for seed in range(6):
+            rng = np.random.default_rng(1000 * d + seed)
+            a = _gen("direct_sum_U_plus_Q", d, seed, unitary_dim=1 + seed % (d - 1),
+                     norm_bound=0.6)
+            dd = defect_data(a)
+            x = rng_matrix(1000 * d + seed, d, d)
+            x *= rng.uniform(0.2, 0.8) / op_norm(x)
+            b = make_contraction(a.mat + dd.d_tstar @ x @ dd.d_t)
+            v = shmulyan_dominates(b, a)
+            assert v.dominates and all(v.route_agreement.values())
+            assert 0.0 < v.radius < math.inf
+            assert _circle_max(a.mat, b.mat - a.mat, v.radius) \
+                <= 1.0 + DEFAULT_TOL.contraction_slack, (d, seed)
+            assert v.radius == proven_radius(a.mat, b.mat - a.mat)
+
+    def test_leaking_norm_one_pair(self):
+        # the direction leaks 6e-8 onto ker D_c; the sampled search saw a
+        # circle of radius 1.52 inside the ball
+        c, u = segment_case("norm-one", 3, 300)
+        v = shmulyan_dominates(Contraction(c + 0.2 * u), Contraction(c))
+        assert v.route_agreement == {"defect_factor": False, "cross_gram": False,
+                                     "segment": False}
+        assert v.radius == 0.0
+
+    @pytest.mark.parametrize("eps", [1e-4, 1e-5, 1e-6, 1e-7])
+    def test_segment_route_sees_a_small_leak(self, eps):
+        # b_eps leaves ker D_J by eps; the cross-Gram residual is eps^2 / 2,
+        # so that route still accepts it and is not asserted here
+        v = shmulyan_dominates(b_eps(eps), J)
+        assert not v.dominates
+        assert not v.route_agreement["segment"] and v.radius == 0.0
+
+    def test_no_radius_search(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("radius_search called")
+
+        monkeypatch.setattr(shmulyan, "radius_search", refuse)
+        monkeypatch.setattr(segments, "radius_search", refuse)
+        w = _gen("partial_isometry", 6, 2, rank=3)
+        m = _member(w, 0.5, 2)
+        assert shmulyan_dominates(m, w).dominates
+        assert not shmulyan_dominates(_gen("strict", 6, 3), w).dominates
+        assert shmulyan_equivalent(w, m).equivalent
+
+    def test_verdict_fields(self):
+        v = shmulyan_dominates(JZ, J)
+        assert not hasattr(v, "y_solution")
+        assert v.radius == proven_radius(J.mat, JZ.mat - J.mat)
+        assert not v.marginal
