@@ -1,9 +1,14 @@
 """Asymptotic limits, canonical triangulations, and reducing parts.
 
-The asymptotic limit of a contraction T is the strong limit of T*^n T^n.
-Its kernel and fixed space drive the canonical triangulation into a
-strongly stable block and a block whose orbits never die, and intersecting
-fixed spaces of T and T* yields the reducing unitary part.
+Every finite-dimensional contraction is T = U + T_0 over H_u + H_u^perp,
+with U unitary and T_0 completely non-unitary (Sz.-Nagy-Foias, Harmonic
+Analysis of Operators on Hilbert Space, Thm I.3.2).  An eigenvector x of T
+with |lambda| = 1 has ||T* x - conj(lambda) x||^2 = ||T* x||^2 - 1 <= 0, so
+span{x} reduces T; hence T_0 has no unimodular eigenvalue, rho(T_0) < 1 and
+T_0^n -> 0.  The asymptotic limits S_T = lim T*^n T^n and S_T* are both the
+projection onto H_u, the reducing isometric and unitary parts are H_u, and
+the canonical triangulation is T_0 + U.  One eigendecomposition of T, its
+unitary split, yields all of them.
 """
 
 from __future__ import annotations
@@ -12,15 +17,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .contraction import MAX_DOUBLINGS, Contraction, defect_data
-from .linalg import (
-    DEFAULT_TOL,
-    Subspace,
-    Tolerances,
-    compress,
-    op_norm,
-    range_of,
-)
+from .contraction import Contraction
+from .linalg import DEFAULT_TOL, Subspace, Tolerances, compress, op_norm
 
 __all__ = [
     "AsymptoticData",
@@ -37,98 +35,96 @@ __all__ = [
     "stability_flags",
 ]
 
-# Residual threshold for block identities derived from converged limits.
+# Bound on ||T P - P T|| for the projection P onto the split's H_u.
 BLOCK_RTOL = 1e-8
+
+# Rounding allowance, per unit of dimension, for |lambda|^2 - 1 above 0.
+EIG_ROUND = 16 * np.finfo(float).eps
 
 
 class NoConvergenceError(RuntimeError):
-    """Fixed-point iteration hit its cap before meeting conv_tol, or left the ball."""
+    """The unitary split failed: an eigenvalue left the unit disc, or the
+    eigenvectors on the circle do not span a reducing subspace."""
 
-    def __init__(self, residual: float, iterations: int):
-        super().__init__(
-            f"no convergence after effective power {iterations} "
-            f"(residual {residual:.3e})")
+    def __init__(self, message: str, residual: float):
+        super().__init__(f"{message} (residual {residual:.3e})")
         self.residual = residual
-        self.iterations = iterations
 
 
 @dataclass(frozen=True)
 class AsymptoticData:
-    """Limit of T*^n T^n with its ascending eigenvalues, kernel and fixed space."""
+    """S_T = S_T* = P_{H_u} with its ascending eigenvalues, kernel and fixed space."""
 
     s_t: np.ndarray
     eigenvalues: np.ndarray
     null_s: Subspace
     fix_s: Subspace
-    iterations: int
     idempotent: bool
+
+
+@dataclass(frozen=True)
+class _UnitarySplit:
+    """H_u of T and T*, with the certificate ||T P - P T|| <= BLOCK_RTOL."""
+
+    limit: AsymptoticData  # fix_s = H_u, null_s = its complement
+    residual: float
+    near_circle: bool  # an eigenvalue with 1 - |lambda|^2 in (psd_atol, 10 psd_atol]
+
+
+def _on_circle(spectrum: np.ndarray, tol: Tolerances) -> np.ndarray:
+    """1 - |lambda|^2 <= psd_atol: the clamp puts such eigenvectors in ker D."""
+    return 1.0 - np.abs(spectrum) ** 2 <= tol.psd_atol
+
+
+def _unitary_split(c: Contraction, tol: Tolerances) -> _UnitarySplit:
+    """The split of c, cached per tolerances (the adjoint shares the cache).
+
+    np.linalg.eig of T; the eigenvectors that _on_circle keeps, made
+    orthonormal by one complete QR, are a basis of H_u and the remaining
+    QR columns one of its complement.  Raises NoConvergenceError when an
+    eigenvalue has |lambda|^2 - 1 beyond rounding (T is no contraction) or
+    when P = P_{H_u} misses ||T P - P T|| <= BLOCK_RTOL.  Its arrays are
+    read-only.
+    """
+    split = c._split_cache.get(tol)
+    if split is not None:
+        return split
+    d = c.dim
+    lam, vec = np.linalg.eig(c.mat)
+    gap = 1.0 - np.abs(lam) ** 2
+    if d and gap.min() < -EIG_ROUND * d:
+        raise NoConvergenceError("an eigenvalue lies outside the unit disc", -gap.min())
+    on = _on_circle(lam, tol)
+    k = int(on.sum())
+    q, _ = np.linalg.qr(vec[:, on], mode="complete")
+    q.setflags(write=False)
+    fix, rest = Subspace._trusted(d, q[:, :k]), Subspace._trusted(d, q[:, k:])
+    p = fix.projector()
+    residual = op_norm(c.mat @ p - p @ c.mat) if 0 < k < d else 0.0
+    if residual > BLOCK_RTOL:
+        raise NoConvergenceError("the unimodular eigenvectors do not reduce T", residual)
+    eigenvalues = np.repeat([0.0, 1.0], [d - k, k])
+    for a in (p, eigenvalues):
+        a.setflags(write=False)
+    split = _UnitarySplit(
+        limit=AsymptoticData(p, eigenvalues, rest, fix, idempotent=True),
+        residual=residual,
+        near_circle=bool(np.any(~on & (gap <= 10.0 * tol.psd_atol))),
+    )
+    c._split_cache[tol] = split
+    return split
 
 
 def asymptotic_limit(c: Contraction,
                      tol: Tolerances = DEFAULT_TOL) -> AsymptoticData:
-    """Compute S_T = lim T*^n T^n for a square contraction (cached).
+    """S_T = lim T*^n T^n = P_{H_u} for a square contraction (cached).
 
-    The quadratic forms of A_n = T*^n T^n decrease monotonically, so the
-    subsampled sequence at powers 2^k converges; doubling the power keeps
-    the iteration faithful to the definition while reaching the limit in
-    logarithmically many multiplies even for non-diagonalizable T.  A
-    power A_n whose largest diagonal entry, a lower bound of its norm,
-    exceeds 1 + contraction_slack proves T no contraction and raises
-    NoConvergenceError.  The result is cached on c per tolerances, so its
-    arrays are read-only.
+    Read off the unitary split: T_0^n -> 0 on the complement of H_u, and
+    T*^n T^n = I on H_u.  The same object serves T*, whose limit is equal.
     """
     if not c.is_square:
         raise ValueError("asymptotic_limit expects a square contraction")
-    data = c._limit_cache.get(tol)
-    if data is None:
-        data = _compute_limit(c, tol)
-        for a in (data.s_t, data.eigenvalues, data.null_s.basis, data.fix_s.basis):
-            a.setflags(write=False)
-        c._limit_cache[tol] = data
-    return data
-
-
-def _compute_limit(c: Contraction, tol: Tolerances) -> AsymptoticData:
-    d = c.dim
-    if d == 0:
-        z = np.zeros((0, 0), dtype=complex)
-        empty = Subspace._trusted(0, z)
-        return AsymptoticData(z, np.zeros(0), empty, empty, 0, True)
-    m = c.mat  # T^(2^k) as k grows
-    a_prev = m.conj().T @ m
-    power = 1
-    for _ in range(MAX_DOUBLINGS):
-        m = m @ m
-        power *= 2
-        a = m.conj().T @ m
-        if a.diagonal().real.max() > 1.0 + tol.contraction_slack:
-            break
-        resid = op_norm(a - a_prev)
-        a_prev = a
-        if resid < tol.conv_tol:
-            s = 0.5 * (a + a.conj().T)
-            idem = op_norm(s @ s - s) <= BLOCK_RTOL * max(1.0, op_norm(s))
-            # the kernels of S and I - S share one eigenbasis
-            w, v = np.linalg.eigh(s)
-            cut = _limit_cut(w, tol)
-            return AsymptoticData(
-                s_t=s,
-                eigenvalues=w,
-                null_s=Subspace._trusted(d, v[:, w <= cut]),
-                fix_s=Subspace._trusted(d, v[:, 1.0 - w <= cut]),
-                iterations=power,
-                idempotent=idem,
-            )
-    raise NoConvergenceError(op_norm(a - a_prev), power)
-
-
-def _limit_cut(w: np.ndarray, tol: Tolerances) -> float:
-    """Rank cut for the ascending spectrum w of a limit 0 <= S <= I.
-
-    Taken against 1, not against a possibly round-off eigenvalue, so that
-    the kernels of S and of I - S are cut alike.
-    """
-    return tol.rank_rtol * max(1.0, w[-1], 1.0 - w[0]) if w.size else tol.rank_rtol
+    return _unitary_split(c, tol).limit
 
 
 @dataclass(frozen=True)
@@ -150,28 +146,20 @@ class Triangulation:
 
 def canonical_triangulation(c: Contraction,
                             tol: Tolerances = DEFAULT_TOL) -> Triangulation:
+    """Blocks of T over the unitary split: q = T_0 has no eigenvalue on the
+    circle, so it is strongly stable, and w = U is unitary, so its limit is
+    the identity; the split's certificate bounds the r and zero blocks."""
     data = asymptotic_limit(c, tol)
-    null_s = data.null_s
-    range_s = null_s.complement()
+    null_s, range_s = data.null_s, data.fix_s
     t = c.mat
-    q = compress(t, null_s, null_s)
-    r = compress(t, null_s, range_s)
-    w = compress(t, range_s, range_s)
-    zero = compress(t, range_s, null_s)
-    zero_res = op_norm(zero)
-    q_stable = True
-    if null_s.dim:
-        q_stable = op_norm(asymptotic_limit(
-            Contraction(q), tol).s_t) <= 10.0 * tol.rank_rtol
-    w_c1 = True
-    if range_s.dim:
-        w_c1 = asymptotic_limit(Contraction(w), tol).null_s.dim == 0
     return Triangulation(
         split=(null_s, range_s),
-        q_block=q, r_block=r, w_block=w,
-        zero_residual=zero_res,
-        q_strongly_stable=q_stable,
-        w_injective_limit=w_c1,
+        q_block=compress(t, null_s, null_s),
+        r_block=compress(t, null_s, range_s),
+        w_block=compress(t, range_s, range_s),
+        zero_residual=op_norm(compress(t, range_s, null_s)),
+        q_strongly_stable=True,
+        w_injective_limit=True,
     )
 
 
@@ -179,9 +167,10 @@ def canonical_triangulation(c: Contraction,
 class ClassFlags:
     """Strong-stability flags for T and T* with an indeterminacy marker.
 
-    Eigenvalues of the asymptotic limit within a decade of the rank cutoff
-    cannot be numerically told apart from zero; such cases set
-    ``indeterminate`` instead of silently picking a side.
+    An eigenvalue of T just outside the clamp of the split, with 1 -
+    |lambda|^2 in (psd_atol, 10 psd_atol], cannot be numerically told apart
+    from one on the circle; such cases set ``indeterminate`` instead of
+    silently picking a side.
     """
 
     stable: bool        # S_T = 0
@@ -191,22 +180,16 @@ class ClassFlags:
     indeterminate: bool
 
 
-def _near_cut(data: AsymptoticData, tol: Tolerances) -> bool:
-    w = data.eigenvalues
-    cut = _limit_cut(w, tol)
-    return bool(np.any((w > cut) & (w <= 10.0 * cut)))
-
-
 def stability_flags(c: Contraction, tol: Tolerances = DEFAULT_TOL) -> ClassFlags:
-    """Flags read off the cached limits of T and T*, at their one rank cut."""
-    lim = asymptotic_limit(c, tol)
-    lim_star = asymptotic_limit(c.adjoint(), tol)
+    """Flags read off the cached split; S_T* = S_T, so T and T* agree."""
+    split = _unitary_split(c, tol)
+    k = split.limit.fix_s.dim
     return ClassFlags(
-        stable=lim.null_s.dim == c.dim,
-        injective=lim.null_s.dim == 0,
-        star_stable=lim_star.null_s.dim == c.dim,
-        star_injective=lim_star.null_s.dim == 0,
-        indeterminate=_near_cut(lim, tol) or _near_cut(lim_star, tol),
+        stable=k == 0,
+        injective=k == c.dim,
+        star_stable=k == 0,
+        star_injective=k == c.dim,
+        indeterminate=split.near_circle,
     )
 
 
@@ -227,33 +210,20 @@ def reducing_isometric_part(c: Contraction,
                             tol: Tolerances = DEFAULT_TOL) -> Subspace:
     """Largest reducing subspace on which c acts isometrically.
 
-    The orthogonal complement of the reducing hull of R(D_T), the smallest
-    subspace containing R(D_T) that T and T* leave invariant, grown as
-    S <- span{S, T S, T* S} until its dimension stops growing (at most d
-    steps).  The complement of the hull reduces T and lies in N(D_T); any
-    reducing subspace inside N(D_T) is orthogonal to the hull.
+    An isometry of a finite-dimensional space is unitary, so this is H_u
+    of the unitary split.
     """
     if not c.is_square:
         raise ValueError("reducing_isometric_part expects a square contraction")
-    t = c.mat
-    hull = defect_data(c, tol).defect_space
-    while 0 < hull.dim < c.dim:
-        q = hull.basis
-        grown = range_of(np.hstack([q, t @ q, t.conj().T @ q]), tol)
-        if grown.dim == hull.dim:
-            break
-        hull = grown
-    return hull.complement()
+    return _unitary_split(c, tol).limit.fix_s
 
 
 def reducing_unitary_part(c: Contraction,
                           tol: Tolerances = DEFAULT_TOL) -> Subspace:
-    """Intersection of the fixed spaces of S_T and S_T*."""
+    """H_u, the fixed space of S_T and of S_T*."""
     if not c.is_square:
         raise ValueError("reducing_unitary_part expects a square contraction")
-    fix = asymptotic_limit(c, tol).fix_s
-    fix_star = asymptotic_limit(c.adjoint(), tol).fix_s
-    return fix.intersect(fix_star)
+    return _unitary_split(c, tol).limit.fix_s
 
 
 @dataclass(frozen=True)

@@ -141,7 +141,6 @@ def _cmd_analyze(args, tol) -> int:
             "idempotent": asym.idempotent,
             "dim_null": asym.null_s.dim,
             "dim_fixed": asym.fix_s.dim,
-            "iterations": asym.iterations,
         },
         "triangulation": {
             "dim_stable": tri.split[0].dim,

@@ -80,12 +80,13 @@ class Contraction:
 
     The matrix is stored read-only.  Its full SVD is taken once, on first
     use, and kept read-only (see :func:`_factored`); defect data and the
-    asymptotic limit are computed lazily and cached per tolerance instance
-    (recompute-equal semantics), and the cached adjoint has this instance
-    as its adjoint.
+    unitary split (``asymptotics._unitary_split``) are computed lazily and
+    cached per tolerance instance (recompute-equal semantics), and the
+    cached adjoint has this instance as its adjoint and shares its split
+    cache.
     """
 
-    __slots__ = ("mat", "tags", "_factors", "_defect_cache", "_limit_cache", "_adjoint")
+    __slots__ = ("mat", "tags", "_factors", "_defect_cache", "_split_cache", "_adjoint")
 
     def __init__(self, mat: np.ndarray, tags: frozenset = frozenset()):
         m = as_matrix(mat).copy()
@@ -94,7 +95,7 @@ class Contraction:
         self.tags = frozenset(tags)
         self._factors: Optional[tuple] = None
         self._defect_cache: dict = {}
-        self._limit_cache: dict = {}
+        self._split_cache: dict = {}
         self._adjoint: Optional["Contraction"] = None
 
     @property
@@ -115,6 +116,7 @@ class Contraction:
         if self._adjoint is None:
             self._adjoint = Contraction(self.mat.conj().T, self.tags)
             self._adjoint._adjoint = self
+            self._adjoint._split_cache = self._split_cache  # T and T* share H_u
         return self._adjoint
 
     def __repr__(self):

@@ -49,7 +49,7 @@ from typing import Optional
 
 import numpy as np
 
-from .asymptotics import reducing_unitary_part
+from .asymptotics import NoConvergenceError, _on_circle, reducing_unitary_part
 from .contraction import Contraction, _factored, defect_data
 from .linalg import (
     DEFAULT_TOL,
@@ -196,11 +196,6 @@ class HarnackVerdict:
         return self.status == DOMINATED
 
 
-def _on_circle(spectrum: np.ndarray, tol: Tolerances) -> np.ndarray:
-    """1 - |lambda|^2 <= psd_atol: the clamp puts such eigenvectors in ker D."""
-    return 1.0 - np.abs(spectrum) ** 2 <= tol.psd_atol
-
-
 def _symbol_sweep(a: np.ndarray, b: np.ndarray, svd_a, svd_b, spectra: np.ndarray,
                   tol: Tolerances) -> float:
     """Constant of G(theta) = D_b (I - z b)^{-1} (I - z a), z = e^{-i theta}.
@@ -253,15 +248,19 @@ def _symbol_sweep(a: np.ndarray, b: np.ndarray, svd_a, svd_b, spectra: np.ndarra
 def _decide(a: Contraction, b: Contraction, c_last: float, tol: Tolerances):
     """(status, method, witness, constant) of a pair past level 1.
 
-    The split runs only when an eigenvalue of a lies on the circle; the
-    symbol sweep then factors a_0 and b_0, else it reads the cached SVDs
-    of a and b.  The Fejer witness needs rho(a_0) < 1, so an eigenvalue of
-    a_0 left on the circle ends Inconclusive first.
+    The split runs only when an eigenvalue of a lies on the circle, and
+    reads a's cached unitary split; the symbol sweep then factors a_0 and
+    b_0, else it reads the cached SVDs of a and b.  The Fejer witness needs
+    rho(a_0) < 1, so a split that fails its certificate, or an eigenvalue
+    of a_0 left on the circle, ends Inconclusive first.
     """
     a_mat, b_mat, basis = a.mat, b.mat, None
     spec_a, spec_b = np.linalg.eigvals(a_mat), np.linalg.eigvals(b_mat)
     if np.any(_on_circle(spec_a, tol)):
-        rest = reducing_unitary_part(a, tol).complement()
+        try:
+            rest = reducing_unitary_part(a, tol).complement()
+        except NoConvergenceError:
+            return INCONCLUSIVE, "symbol", None, None
         if rest.dim == 0:
             return DOMINATED, "unitary", None, max(c_last, 1.0)
         basis = rest.basis

@@ -23,7 +23,7 @@ from typing import Optional
 
 import numpy as np
 
-from .contraction import Contraction, classify, defect_data, make_contraction
+from .contraction import Contraction, _factored, classify, defect_data, make_contraction
 from .linalg import (
     DEFAULT_TOL,
     ShapeMismatchError,
@@ -36,6 +36,8 @@ from .linalg import (
 # perfbench/spans.py checks that these bindings resolve to their traced
 # wrappers, so they stay
 from .segments import (  # noqa: F401
+    _disc_radius,
+    _factored_disc,
     _whitened_disc,
     circle_max_norm,
     poly_norms,
@@ -217,13 +219,14 @@ def segment_radius(a: Contraction, b: Contraction,
     """Proven lower bound of the largest r with ||(1-eps)a + eps b|| <= 1 +
     tol.contraction_slack on the whole disc |eps| <= r.
 
-    ``segments.proven_radius`` of the segment: positive exactly when b is
-    Shmul'yan dominated by a (up to the leak threshold), math.inf for
-    (essentially) constant segments.
+    ``segments.proven_radius`` of the segment, from a's cached SVD
+    (``contraction._factored``): positive exactly when b is Shmul'yan
+    dominated by a (up to the leak threshold), math.inf for (essentially)
+    constant segments.
     """
     if a.shape != b.shape:
         raise ShapeMismatchError(f"shape mismatch {a.shape} vs {b.shape}")
-    return proven_radius(a.mat, b.mat - a.mat, tol)
+    return _disc_radius(_factored_disc(_factored(a), b.mat - a.mat, tol), tol)
 
 
 @dataclass(frozen=True)

@@ -330,9 +330,10 @@ def column_criterion(t: Contraction, t_prime: Contraction,
 
 
 def _fix_split(t: Contraction, tol: Tolerances):
-    """Orthonormal bases of N(I - S_T) and its complement."""
-    h0 = asymptotic_limit(t, tol).fix_s
-    return h0, h0.complement()
+    """Orthonormal bases of N(I - S_T) = H_u and its complement, from the
+    unitary split that asymptotic_limit reads."""
+    lim = asymptotic_limit(t, tol)
+    return lim.fix_s, lim.null_s
 
 
 def quasi_isometry_criterion(t: Contraction, t_prime: Contraction,
@@ -362,8 +363,8 @@ def quasi_isometry_criterion(t: Contraction, t_prime: Contraction,
     range_qp = range_of(q_p, tol)
     # embed h1-coordinate subspaces into the ambient space
     amb = h1.ambient_dim
-    emb_dr = Subspace(amb, h1.basis @ range_dr.basis)
-    emb_qp = Subspace(amb, h1.basis @ range_qp.basis)
+    emb_dr = Subspace._trusted(amb, h1.basis @ range_dr.basis)
+    emb_qp = Subspace._trusted(amb, h1.basis @ range_qp.basis)
     range_dtp = defect_data(t_prime, tol).defect_space
     range_inclusion = emb_dr.contains(emb_qp) and emb_dr.equals(range_dtp)
 

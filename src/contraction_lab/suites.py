@@ -16,6 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .asymptotics import (
+    _on_circle,
     asymptotic_limit,
     reducing_isometric_part,
     reducing_unitary_part,
@@ -34,7 +35,6 @@ from .harnack import (
     DOMINATED,
     NOT_DOMINATED,
     HarnackVerdict,
-    _on_circle,
     harnack_dominates,
     harnack_falsify,
     harnack_kernel,

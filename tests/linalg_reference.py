@@ -1,7 +1,7 @@
 """Reference factorizations the tests check the library against.
 
-Each takes its own eigendecomposition or SVD of the matrix it is given,
-independently of the cached singular decomposition that
+Each takes its own eigendecomposition, SVD or power iteration of the
+matrix it is given, independently of the cached factorizations that
 ``contraction_lab`` reads, so a test comparing the two compares separate
 computations.
 """
@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from contraction_lab.contraction import MAX_DOUBLINGS
 from contraction_lab.linalg import (
     DEFAULT_TOL,
     NotPSDError,
@@ -19,6 +20,7 @@ from contraction_lab.linalg import (
     _rank,
     as_matrix,
     herm,
+    op_norm,
 )
 
 
@@ -65,3 +67,25 @@ def kernel_of(m, tol: Tolerances = DEFAULT_TOL) -> Subspace:
         return Subspace(a.shape[1], np.eye(a.shape[1], dtype=complex))
     _, s, vh = np.linalg.svd(a)
     return Subspace(a.shape[1], vh.conj().T[:, _rank(s, tol):])
+
+
+def power_doubling_limit(m, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
+    """S_T = lim T*^n T^n by powers n = 2^k, for a square contraction m.
+
+    The quadratic forms of T*^n T^n decrease monotonically, so the
+    subsequence at n = 2^k converges; squaring stops once consecutive
+    terms differ by less than conv_tol in norm, within MAX_DOUBLINGS
+    squarings.  A term whose largest diagonal entry, a lower bound of its
+    norm, exceeds 1 + contraction_slack proves m no contraction.
+    """
+    t = as_matrix(m)
+    a_prev = t.conj().T @ t
+    for _ in range(MAX_DOUBLINGS):
+        t = t @ t
+        a = t.conj().T @ t
+        if a.diagonal().real.max() > 1.0 + tol.contraction_slack:
+            raise ValueError("a power left the unit ball")
+        if op_norm(a - a_prev) < tol.conv_tol:
+            return herm(a)
+        a_prev = a
+    raise RuntimeError(f"no convergence after {MAX_DOUBLINGS} squarings")

@@ -21,9 +21,11 @@ from contraction_lab import (
 from contraction_lab import asymptotics
 from contraction_lab.asymptotics import ClassFlags, NoConvergenceError, stability_flags
 from contraction_lab.corpus import GenSpec, generate
+from contraction_lab.harnack import DOMINATED, INCONCLUSIVE, harnack_dominates
 from contraction_lab.linalg import DEFAULT_TOL, Subspace, op_norm
 
-from conftest import rng_matrix, square_contractions
+from conftest import reference_cases, rng_matrix, square_contractions
+from linalg_reference import power_doubling_limit
 
 J = make_contraction([[0, 1], [0, 0]])
 
@@ -83,12 +85,31 @@ class TestAsymptoticLimit:
 
     @pytest.mark.filterwarnings("error")
     def test_power_leaving_the_ball_stops(self):
-        # built directly, with norm 1 + 2.5e-11: squaring alone overflows
+        # built directly, with norm 1 + 2.5e-11, inside contraction_slack:
+        # its eigenvalue has |lambda|^2 - 1 = 5e-11, far above rounding
         c = Contraction(np.diag([math.sqrt(1 + 5e-11), 0.5]))
         with pytest.raises(NoConvergenceError) as info:
             asymptotic_limit(c)
-        assert info.value.iterations == 4
         assert math.isfinite(info.value.residual)
+        assert info.value.residual == pytest.approx(5e-11, rel=1e-4)
+
+    @pytest.mark.parametrize("t, tol", [pytest.param(t, tol, id=name)
+                                        for name, t, tol in reference_cases()
+                                        if t.shape[0] == t.shape[1] and t.size])
+    def test_matches_power_doubling(self, t, tol):
+        """The split's projector is the power-doubling limit's, plus the
+        eigenvectors with 0 < 1 - |lambda|^2 <= psd_atol that the clamp puts
+        on the circle (the gap-0.5-psd_atol diagonal); the power limit
+        sends those to 0."""
+        c = make_contraction(t, tol)
+        lam, vec = np.linalg.eig(c.mat)
+        gap = 1.0 - np.abs(lam) ** 2
+        clamped = vec[:, (gap > 1e-12) & (gap <= tol.psd_atol)]
+        w, v = np.linalg.eigh(power_doubling_limit(c.mat, tol))
+        q, _ = np.linalg.qr(np.hstack([v[:, w > 0.5], clamped]))
+        data = asymptotic_limit(c, tol)
+        assert op_norm(data.s_t - q @ q.conj().T) <= 1e-12
+        assert asymptotics._unitary_split(c, tol).residual <= asymptotics.BLOCK_RTOL
 
 
 class TestTriangulation:
@@ -258,28 +279,25 @@ class TestMemoization:
                 a[0] = 7.0
 
     def test_analyze_computes_each_limit_once(self, monkeypatch):
+        # T and T* share one eig; the triangulation blocks take none
         computed = []
-        original = asymptotics._compute_limit
+        original = np.linalg.eig
 
-        def counting(c, tol):
-            computed.append(c.mat.copy())
-            return original(c, tol)
+        def counting(m):
+            computed.append(np.array(m))
+            return original(m)
 
-        monkeypatch.setattr(asymptotics, "_compute_limit", counting)
+        monkeypatch.setattr(np.linalg, "eig", counting)
         c = generate(GenSpec(6, "direct_sum_U_plus_Q", 2, {"unitary_dim": 2}))
         # the calls of the CLI analyze report
         asymptotic_limit(c)
         canonical_triangulation(c)
         reducing_parts(c)
         class_of(c)
-
-        def count(m):
-            return sum(a.shape == m.shape and np.array_equal(a, m) for a in computed)
-
-        assert count(c.mat) == 1
-        assert count(c.mat.conj().T) == 1
-        # the rest are the q and w blocks of the triangulation
-        assert len(computed) == 4
+        assert asymptotic_limit(c.adjoint()) is asymptotic_limit(c)
+        assert class_of(c.adjoint()) == "mixed"
+        assert len(computed) == 1
+        assert np.array_equal(computed[0], c.mat)
 
     def test_class_of_reads_cached_spectrum(self, monkeypatch):
         c = generate(GenSpec(6, "direct_sum_U_plus_Q", 2, {"unitary_dim": 2}))
@@ -300,17 +318,19 @@ class TestMemoization:
 
 
 def eigvalsh_flags(c):
-    """Reference: the flags from a separate eigvalsh of each cached limit."""
+    """Reference: the flags from a separate eigvalsh of each cached limit,
+    and indeterminacy from the eigenvalues of T a decade above the clamp."""
     counts = []
     for lim in (asymptotic_limit(c), asymptotic_limit(c.adjoint())):
         w = np.linalg.eigvalsh(lim.s_t)
         cut = DEFAULT_TOL.rank_rtol * max(1.0, float(w[-1]))
         zero = int(np.sum(w <= cut))
-        counts.append((zero, w.size - zero,
-                       int(np.sum((w > cut) & (w <= 10.0 * cut)))))
-    (z, p, f), (zs, ps, fs) = counts
+        counts.append((zero, w.size - zero))
+    (z, p), (zs, ps) = counts
+    gap = 1.0 - np.abs(np.linalg.eigvals(c.mat)) ** 2
+    near = (gap > DEFAULT_TOL.psd_atol) & (gap <= 10.0 * DEFAULT_TOL.psd_atol)
     return ClassFlags(stable=p == 0, injective=z == 0, star_stable=ps == 0,
-                      star_injective=zs == 0, indeterminate=bool(f or fs))
+                      star_injective=zs == 0, indeterminate=bool(near.any()))
 
 
 class TestStabilityFlags:
@@ -321,3 +341,66 @@ class TestStabilityFlags:
         for seed in range(4):
             c = generate(make_spec(d, seed, 1 + seed % (d - 1)))
             assert stability_flags(c) == eigvalsh_flags(c)
+
+
+ATOL = DEFAULT_TOL.psd_atol
+
+
+def near_circle(gap, rotate=False):
+    """lambda + [[0, 0.9], [0, 0]] with 1 - |lambda|^2 = gap, optionally in
+    a random orthonormal basis: lambda's eigenvector reduces it."""
+    m = np.zeros((3, 3), dtype=complex)
+    m[0, 0] = math.sqrt(1.0 - gap) * np.exp(0.7j)
+    m[1, 2] = 0.9
+    if rotate:
+        q = haar_unitary(3, 3)
+        m = q @ m @ q.conj().T
+    return make_contraction(m)
+
+
+def rescaled_upper(delta):
+    """[[1 - delta, 0.5], [0, 0.3]] divided by its norm."""
+    m = np.array([[1.0 - delta, 0.5], [0.0, 0.3]])
+    return make_contraction(m / np.linalg.norm(m, 2))
+
+
+NEAR_CIRCLE = [
+    # (contraction, class label, indeterminate)
+    pytest.param(near_circle(0.5 * ATOL), "mixed", False, id="inside-clamp"),
+    pytest.param(near_circle(0.5 * ATOL, rotate=True), "mixed", False,
+                 id="inside-clamp-rotated"),
+    pytest.param(near_circle(2.0 * ATOL), "C00", True, id="above-clamp"),
+    pytest.param(near_circle(5.0 * ATOL, rotate=True), "C00", True,
+                 id="above-clamp-rotated"),
+    pytest.param(near_circle(20.0 * ATOL), "C00", False, id="beyond-a-decade"),
+    pytest.param(rescaled_upper(0.5 * ATOL), "C00", False, id="upper-inside"),
+    pytest.param(rescaled_upper(5.0 * ATOL), "C00", False, id="upper-above"),
+]
+
+
+class TestNearCircle:
+    """Eigenvalues on both sides of the clamp 1 - |lambda|^2 <= psd_atol,
+    which the split and the Harnack split share."""
+
+    @pytest.mark.parametrize("c, label, indeterminate", NEAR_CIRCLE)
+    def test_harnack_method_agrees_with_class(self, c, label, indeterminate):
+        assert class_of(c) == label
+        assert stability_flags(c).indeterminate == indeterminate
+        # a strict dominator sees a Fejer witness exactly when T has a unitary part
+        zero = make_contraction(np.zeros(c.shape))
+        method = harnack_dominates(zero, c).method
+        assert (method == "fejer") == (label != "C00")
+        # the split leaves no eigenvalue on the circle behind
+        v = harnack_dominates(c, c)
+        assert v.status == DOMINATED
+        assert (v.method == "unitary") == (label == "C11")
+
+    def test_unreduced_eigenvalue_inside_the_clamp_is_undecided(self):
+        # 1 - |lambda|^2 = 5e-11 with coupling (gap / 4)^(1/2): a contraction
+        # whose clamped eigenvector is 3.5e-6 away from reducing it
+        gap = 0.5 * ATOL
+        t = make_contraction([[math.sqrt(1.0 - gap), math.sqrt(gap / 4.0)], [0.0, 0.3]])
+        with pytest.raises(NoConvergenceError) as info:
+            class_of(t)
+        assert info.value.residual > asymptotics.BLOCK_RTOL
+        assert harnack_dominates(t, t).status == INCONCLUSIVE

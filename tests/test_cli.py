@@ -102,6 +102,15 @@ class TestAnalyze:
         assert {"strict", "pure", "quasi_normal"} <= set(report["classification"])
         assert report["class"] == "C00"
         assert report["parts"] == {"dim_h_i": 0, "dim_h_u": 0}
+        assert report["asymptotic"] == {"idempotent": True, "dim_null": 2, "dim_fixed": 0}
+
+    def test_split_failure_exits_3(self, tmp_path):
+        # an eigenvalue inside the clamp whose eigenvector does not reduce T
+        gap = 0.5 * DEFAULT_TOL.psd_atol
+        m = [[np.sqrt(1.0 - gap), np.sqrt(gap / 4.0)], [0.0, 0.3]]
+        code, report = run_cli(["analyze", write_matrix(tmp_path / "m.json", m)])
+        assert code == 3
+        assert "do not reduce" in report["error"]
 
     def test_tolerances_echoed(self, files):
         code, report = run_cli(["--max-level", "32", "analyze", files["zero2"]])

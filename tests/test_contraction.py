@@ -16,13 +16,14 @@ from contraction_lab import (
     ttstar_power_limit,
     up_decompose,
 )
-from contraction_lab import shmulyan
+from contraction_lab import schur, segments, shmulyan
 from contraction_lab.asymptotics import asymptotic_limit
 from contraction_lab.harnack import harnack_equivalence
 from contraction_lab.corpus import GenSpec, generate
 from contraction_lab.linalg import (
     DEFAULT_TOL,
     NotPSDError,
+    Subspace,
     Tolerances,
     op_norm,
     range_of,
@@ -203,6 +204,31 @@ class TestOneFactorization:
         assert shmulyan.shmulyan_equivalent(w, m).equivalent
         assert counts == [1, 1]
 
+    def test_segment_radius_reads_the_cached_svd(self, monkeypatch):
+        w = generate(GenSpec(dim=8, kind="partial_isometry", seed=1, params={"rank": 4}))
+        part = shmulyan.partial_isometry_part(w)
+        m = make_contraction(w.mat + part.null_out.basis @ (0.5 * np.eye(4))
+                             @ part.null_in.basis.conj().T)
+        counts = count_factorizations(monkeypatch)
+        r = schur.segment_radius(w, m)
+        assert counts["svd"] == 0
+        assert 0.0 < r == segments.proven_radius(w.mat, m.mat - w.mat)
+
+
+def trusted_in(fn, *args) -> list:
+    """The subspaces that fn(*args) builds with Subspace._trusted."""
+    made = []
+    trusted = Subspace._trusted.__func__
+
+    def record(cls, ambient_dim, basis):
+        made.append(trusted(cls, ambient_dim, basis))
+        return made[-1]
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(Subspace, "_trusted", classmethod(record))
+        fn(*args)
+    return made
+
 
 class TestTrustedBases:
     """Bases built without the Subspace check are orthonormal to 1e-8."""
@@ -220,6 +246,8 @@ class TestTrustedBases:
         if c.is_square:
             lim, lim_star = asymptotic_limit(c, tol), asymptotic_limit(c.adjoint(), tol)
             out += [lim.null_s, lim.fix_s, lim.fix_s.intersect(lim_star.fix_s)]
+            if "quasi_isometry" in classify(c, tol):
+                out += trusted_in(shmulyan.quasi_isometry_criterion, c, c, tol)
         return out + [s.complement() for s in out]
 
     @pytest.mark.parametrize("t, tol", [pytest.param(t, tol, id=name)
