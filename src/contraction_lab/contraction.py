@@ -177,13 +177,29 @@ def defect_data(c: Contraction, tol: Tolerances = DEFAULT_TOL) -> DefectData:
     return data
 
 
+def _isometry_residuals(c: Contraction) -> tuple:
+    """||T*T - I||, ||TT* - I|| and ||TT*T - T|| from the cached singular values.
+
+    With T = U S V*, they are max |1 - s^2| over each side's singular values
+    and max |s^3 - s|; a side longer than min(rows, cols) has singular
+    values 0, so its residual is at least 1.
+    """
+    rows, cols = c.shape
+    s = _factored(c)[1]
+    gap = float(np.abs(1.0 - s * s).max(initial=0.0))
+    return (max(gap, float(cols > s.size)), max(gap, float(rows > s.size)),
+            float(np.abs(s ** 3 - s).max(initial=0.0)))
+
+
 def classify(c: Contraction, tol: Tolerances = DEFAULT_TOL) -> frozenset:
     """Predicates holding for c, each checked by its defining identity.
 
     Square-only predicates (quasi_normal, quasi_isometry, hyponormal) are
     skipped for rectangular inputs.  In finite dimension several of these
     collapse (pure = strict, quasi-normal = normal); the identities are
-    still evaluated directly so the oracles mirror the definitions.
+    still evaluated directly so the oracles mirror the definitions, those
+    of the isometry, co-isometry and partial isometry through the singular
+    values (:func:`_isometry_residuals`).
     """
     t = c.mat
     rows, cols = t.shape
@@ -195,14 +211,15 @@ def classify(c: Contraction, tol: Tolerances = DEFAULT_TOL) -> frozenset:
     def small(m) -> bool:
         return op_norm(m) <= bound
 
+    iso, coiso, partial = _isometry_residuals(c)
     out = set()
-    if small(tt @ t - np.eye(cols)):
+    if iso <= bound:
         out.add("isometry")
-    if small(t @ tt - np.eye(rows)):
+    if coiso <= bound:
         out.add("coisometry")
     if "isometry" in out and "coisometry" in out:
         out.add("unitary")
-    if small(t @ tt @ t - t):
+    if partial <= bound:
         out.add("partial_isometry")
     if rows == cols:
         if small(t @ (tt @ t) - (tt @ t) @ t):

@@ -26,8 +26,10 @@ every pair:
    sections of the block Toeplitz operator with the continuous symbol
    P_T = (I - zT)^{-*} D_T^2 (I - zT)^{-1}, which is PSD exactly when
    its symbol is (Boettcher-Silbermann): t dominates t' when
-   D_{t'} (I - z t')^{-1} (I - z t) vanishes on ker D_t (method
-   "symbol"), and the reported constant is a sampled maximum, a lower
+   D_{t'} (I - z t')^{-1} (I - z t) vanishes on ker D_t, which level 1
+   proved (method "symbol").  The reported constant is the maximum of
+   its norm after D_t^+ over the circle, an H-infinity norm found by a
+   level-set iteration (see _symbol_sweep): a sampled value, so a lower
    bound of c^2, not a certified upper bound.
 
 An eigenvalue near the circle that the split did not remove ends
@@ -49,7 +51,7 @@ from typing import Optional
 
 import numpy as np
 
-from .asymptotics import NoConvergenceError, _on_circle, reducing_unitary_part
+from .asymptotics import NoConvergenceError, _on_circle, asymptotic_limit
 from .contraction import Contraction, _factored, defect_data
 from .linalg import (
     DEFAULT_TOL,
@@ -87,15 +89,28 @@ DOMINATED = "dominated"
 NOT_DOMINATED = "not_dominated"
 INCONCLUSIVE = "inconclusive"
 
-# Points of the uniform theta grid of the symbol sweep.  The leak is a
-# rational function whose numerator has degree at most d, so the symbol
-# route serves d + 1 < SYMBOL_GRID; a finer grid costs more than it finds,
-# because the eigen-angles and the refinement place the maximum.
+# The symbol route serves d + 1 < SYMBOL_GRID and leaves larger pairs
+# Inconclusive; that stop is the constant's only use.
 SYMBOL_GRID = 128
 
-# Golden-section steps around each of the two best sweep points; each
-# step shrinks the bracket (two grid spacings wide) by 0.618.
-SYMBOL_REFINE_STEPS = 24
+# Equally spaced angles the symbol sweep samples besides the eigen-angles.
+# Its lowest sample becomes the Cayley point at infinity, whose value must
+# lie clearly below the best; the symbol of a = [[0, 1], [1/2, 0]] against
+# b = [[0, 1], [0, 0]] has period pi, and samples at 0 and pi alone tie.
+SYMBOL_START = 8
+
+# Cap on the level-set steps of the symbol sweep.  Each step solves one
+# Hamiltonian eigenproblem and the iteration converges quadratically, so
+# sweeps need a few steps.
+SYMBOL_STEPS = 16
+
+# A step's level lies SYMBOL_RTOL above the best sample, and a step that
+# gains less than SYMBOL_RTOL ends the sweep.
+SYMBOL_RTOL = 1e-10
+
+# Relative distance from the imaginary axis within which an eigenvalue of
+# the Hamiltonian counts as a crossing.
+SYMBOL_AXIS_RTOL = 1e-8
 
 # Degrees of the Fejer polynomials harnack_falsify tries at each unimodular
 # eigenvalue of b.  Degree n refutes a constant below (n + 1) / M, where M
@@ -196,17 +211,59 @@ class HarnackVerdict:
         return self.status == DOMINATED
 
 
+def _level_crossings(state: np.ndarray, gain: np.ndarray, out: np.ndarray,
+                     feed: np.ndarray, phi: float, gamma: float) -> np.ndarray:
+    """Frequencies omega at which gamma is a singular value of the transfer
+    function feed + out (lambda - state)^{-1} gain at the circle point
+    lambda = e^{i phi} (1 + i omega) / (1 - i omega).
+
+    This Cayley transform sends phi to s = 0 and phi + pi to s = infinity
+    and gives the continuous-time system (ac, bc, cc, dc); gamma is a
+    singular value at s = i omega exactly when i omega is an eigenvalue of
+    its Hamiltonian matrix (Bruinsma-Steinbuch).  rho(state) < 1 keeps
+    I + e^{-i phi} state invertible; gamma must exceed ||dc||, the norm at
+    -e^{i phi}, so that R = dc* dc - gamma^2 and S = dc dc* - gamma^2 are
+    negative definite.  An eigenvalue s counts as imaginary when |Re s| <=
+    SYMBOL_AXIS_RTOL max(1, |s|).
+    """
+    eye = np.eye(state.shape[0])
+    rot = np.exp(-1j * phi)
+    m = np.linalg.inv(eye + rot * state)
+    ac = eye - 2.0 * m  # (I + rot state)^{-1} (rot state - I)
+    bc = (math.sqrt(2.0) * rot) * (m @ gain)
+    cc = math.sqrt(2.0) * (out @ m)
+    dc = feed - rot * (out @ m @ gain)
+    g2 = gamma * gamma
+    bri = bc @ np.linalg.inv(dc.conj().T @ dc - g2 * np.eye(dc.shape[1]))
+    s_inv = np.linalg.inv(dc @ dc.conj().T - g2 * eye)
+    ham = np.block([
+        [ac - bri @ dc.conj().T @ cc, -gamma * (bri @ bc.conj().T)],
+        [gamma * (cc.conj().T @ s_inv @ cc), cc.conj().T @ dc @ bri.conj().T - ac.conj().T],
+    ])
+    s = np.linalg.eigvals(ham)
+    return s.imag[np.abs(s.real) <= SYMBOL_AXIS_RTOL * np.maximum(1.0, np.abs(s))]
+
+
 def _symbol_sweep(a: np.ndarray, b: np.ndarray, svd_a, svd_b, spectra: np.ndarray,
                   tol: Tolerances) -> float:
     """Constant of G(theta) = D_b (I - z b)^{-1} (I - z a), z = e^{-i theta}.
 
     Both spectral radii must lie below 1, where the symbol is a continuous
-    function; ``spectra`` holds the eigenvalues of a and b.  Returns c2 =
-    max ||G D_a^+||^2 over the uniform grid plus the eigen-angles of a and
-    b, and a golden-section search around the two best of them.  G = D_b
-    = 0 on ker D_a, where level 1 found b = a.  Norms are unitarily
-    invariant, so D_b enters as diag(r_b) V_b* and D_a^+ as V_r diag(1/r),
-    from the SVDs ``svd_a`` of a and ``svd_b`` of b.
+    function; ``spectra`` holds the eigenvalues of a and b.  G D_a^+ is the
+    transfer function D + C (e^{i theta} - b)^{-1} B of the state space
+    (b, (b - a) D_a^+, D_b, D_b D_a^+), so its maximum norm is an
+    H-infinity norm, found by the level-set iteration of Bruinsma and
+    Steinbuch (Systems & Control Letters 14, 1990).  It samples
+    SYMBOL_START equally spaced angles and the eigen-angles.  Each step
+    sends the lowest sample to the Cayley point at infinity, finds where
+    the level SYMBOL_RTOL above the best sample meets a singular value
+    (_level_crossings), and samples the midpoints between those angles.
+    It stops when a level meets none, a step gains less than SYMBOL_RTOL,
+    or after SYMBOL_STEPS steps.  Returns c2, the best sampled
+    ||G D_a^+||^2, a lower bound of the maximum.  G = D_b = 0 on ker D_a,
+    where level 1 found b = a.  Norms are unitarily invariant, so D_b
+    enters as diag(r_b) V_b* and D_a^+ as V_r diag(1/r), from the SVDs
+    ``svd_a`` of a and ``svd_b`` of b.
     """
     d = a.shape[0]
     eye = np.eye(d, dtype=complex)
@@ -216,33 +273,30 @@ def _symbol_sweep(a: np.ndarray, b: np.ndarray, svd_a, svd_b, spectra: np.ndarra
     [(r_b, _)] = _defect_roots(s_b, tol, d)
     pinv_cols = vh_a[keep].conj().T / r_a[keep]  # >= 1 column: a is no isometry
     left = r_b[:, None] * vh_b
+    gain, feed = (b - a) @ pinv_cols, left @ pinv_cols
 
     def value(theta):
         """||G(theta) D_a^+||^2 at every angle."""
-        z = np.exp(-1j * theta)[:, None, None]
-        g = left @ np.linalg.solve(eye - z * b, pinv_cols - z * (a @ pinv_cols))
+        lam = np.exp(1j * theta)[:, None, None]
+        g = feed + left @ np.linalg.solve(lam * eye - b, gain)
         return np.linalg.svd(g, compute_uv=False)[:, 0] ** 2
 
-    grid, _ = unit_circle(SYMBOL_GRID)
-    theta = np.concatenate([grid, np.mod(np.angle(spectra), 2.0 * np.pi)])
+    theta = np.concatenate([unit_circle(SYMBOL_START)[0], np.angle(spectra)])
     c2 = value(theta)
-    best = float(c2.max())
-    # golden-section search on [t - h, t + h] around the two best points
-    h = 2.0 * np.pi / SYMBOL_GRID
-    lo = theta[np.argsort(c2)[-2:]] - h
-    hi = lo + 2.0 * h
-    ratio = 0.5 * (math.sqrt(5.0) - 1.0)
-    x1, x2 = hi - ratio * (hi - lo), lo + ratio * (hi - lo)
-    f1, f2 = value(x1), value(x2)
-    for _ in range(SYMBOL_REFINE_STEPS):
-        best = max(best, float(f1.max()), float(f2.max()))
-        right = f1 < f2  # the maximum lies in [x1, hi]
-        lo, hi = np.where(right, x1, lo), np.where(right, hi, x2)
-        x1, x2 = np.where(right, x2, hi - ratio * (hi - lo)), \
-            np.where(right, lo + ratio * (hi - lo), x1)
-        fnew = value(np.where(right, x2, x1))
-        f1, f2 = np.where(right, f2, fnew), np.where(right, fnew, f1)
-    return max(best, float(f1.max()), float(f2.max()))
+    for _ in range(SYMBOL_STEPS):
+        best = float(c2.max())
+        phi = float(theta[np.argmin(c2)]) + np.pi
+        omega = _level_crossings(b, gain, left, feed, phi,
+                                 math.sqrt(best) * (1.0 + SYMBOL_RTOL))
+        if omega.size < 2:
+            break
+        ends = np.sort(phi + 2.0 * np.arctan(omega))
+        mids = 0.5 * (ends[1:] + ends[:-1])
+        step = value(mids)
+        theta, c2 = np.concatenate([theta, mids]), np.concatenate([c2, step])
+        if step.max() <= best * (1.0 + SYMBOL_RTOL):
+            break
+    return float(c2.max())
 
 
 def _decide(a: Contraction, b: Contraction, c_last: float, tol: Tolerances):
@@ -258,7 +312,7 @@ def _decide(a: Contraction, b: Contraction, c_last: float, tol: Tolerances):
     spec_a, spec_b = np.linalg.eigvals(a_mat), np.linalg.eigvals(b_mat)
     if np.any(_on_circle(spec_a, tol)):
         try:
-            rest = reducing_unitary_part(a, tol).complement()
+            rest = asymptotic_limit(a, tol).null_s
         except NoConvergenceError:
             return INCONCLUSIVE, "symbol", None, None
         if rest.dim == 0:

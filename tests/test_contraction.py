@@ -18,6 +18,7 @@ from contraction_lab import (
 )
 from contraction_lab import schur, segments, shmulyan
 from contraction_lab.asymptotics import asymptotic_limit
+from contraction_lab.contraction import PREDICATE_RTOL, _isometry_residuals
 from contraction_lab.harnack import harnack_equivalence
 from contraction_lab.corpus import GenSpec, generate
 from contraction_lab.linalg import (
@@ -260,7 +261,26 @@ class TestTrustedBases:
                 assert op_norm(b.conj().T @ b - np.eye(space.dim)) <= 1e-8
 
 
+def reference_isometry_residuals(t):
+    """Spectral norms of the defining residuals T*T - I, TT* - I and TT*T - T."""
+    rows, cols = t.shape
+    tt = t.conj().T
+    return (op_norm(tt @ t - np.eye(cols)), op_norm(t @ tt - np.eye(rows)),
+            op_norm(t @ tt @ t - t))
+
+
 class TestClassify:
+    @pytest.mark.parametrize("t, tol", [pytest.param(t, tol, id=name)
+                                        for name, t, tol in reference_cases()])
+    def test_residuals_from_singular_values(self, t, tol):
+        c = Contraction(t)
+        got = _isometry_residuals(c)
+        ref = reference_isometry_residuals(t)
+        assert np.allclose(got, ref, rtol=0.0, atol=1e-13)
+        names = ("isometry", "coisometry", "partial_isometry")
+        bound = PREDICATE_RTOL * max(1.0, op_norm(t) ** 2)
+        assert {n for n, r in zip(names, ref) if r <= bound} == set(names) & classify(c, tol)
+
     def test_nilpotent_flags(self):
         flags = classify(J)
         assert "partial_isometry" in flags

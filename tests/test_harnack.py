@@ -1,12 +1,14 @@
 """Harnack decision path, Gram hierarchy, falsifier, and intertwiner factorizations."""
 
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.linalg import block_diag
+from scipy.optimize import minimize_scalar
 
 from contraction_lab import (
     DOMINATED,
@@ -33,6 +35,7 @@ from contraction_lab.shmulyan import partial_isometry_part
 from contraction_lab.suites import partial_isometry_pairs
 
 from conftest import scaled_contraction
+from linalg_reference import pinv, psd_sqrt
 
 J = make_contraction([[0, 1], [0, 0]])
 
@@ -293,6 +296,68 @@ class TestSymbol:
         assert v.levels_used == 1
 
 
+def dense_symbol_max(a, b, samples=16384):
+    """Reference symbol constant: max_theta ||G(theta) D_a^+||^2 with
+    G = D_b (I - z b)^{-1} (I - z a), z = e^{-i theta}, over a uniform grid,
+    refined by a bounded Brent search around the four best local maxima."""
+    eye = np.eye(a.shape[0])
+    left = psd_sqrt(eye - b.conj().T @ b)
+    right = pinv(psd_sqrt(eye - a.conj().T @ a))
+
+    def value(theta):
+        z = np.exp(-1j * np.atleast_1d(theta))[:, None, None]
+        g = left @ np.linalg.solve(eye - z * b, (eye - z * a) @ right)
+        return np.linalg.svd(g, compute_uv=False)[:, 0] ** 2
+
+    theta = 2.0 * np.pi * np.arange(samples) / samples
+    c2 = np.concatenate([value(chunk) for chunk in np.split(theta, 8)])
+    peaks = np.flatnonzero((c2 >= np.roll(c2, 1)) & (c2 >= np.roll(c2, -1)))
+    h = 2.0 * np.pi / samples
+    refined = [-minimize_scalar(lambda t: -value(t)[0], bounds=(t - h, t + h),
+                                method="bounded", options={"xatol": 1e-14}).fun
+               for t in theta[peaks[np.argsort(c2[peaks])[-4:]]]]
+    return max(float(c2.max()), *refined)
+
+
+def dense_reference_pairs():
+    """(label, a, b) with both spectral radii below 1."""
+    rng = np.random.default_rng(11)
+    pairs = []
+    for d in (1, 2, 4, 8, 16, 32):
+        for nb in (0.9, 0.99) if d <= 8 else (0.99,):
+            pairs.append((f"strict-{d}-{nb}", gen("strict", d, 10 * d, norm_bound=0.8),
+                          gen("strict", d, 10 * d + 1, norm_bound=nb)))
+    for r in (0.9, 0.99, 0.999):
+        for d in (1, 4):
+            pairs.append((f"closed-{d}-{r}", make_contraction(np.zeros((d, d))),
+                          normal_of_radius(int(1000 * r) + d, d, r)))
+    for d in (2, 4, 8):
+        g = np.triu(rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d)), 1)
+        pairs.append((f"nilpotent-{d}", gen("strict", d, d + 5, norm_bound=0.7),
+                      make_contraction(0.95 * g / op_norm(g))))
+    pairs.append(("shift-2", gen("strict", 2, 6, norm_bound=0.7), gen("nilpotent_shift", 2, 0)))
+    # a symbol of period pi: its samples at 0 and pi tie, its maximum 3 lies at pi / 2
+    pairs.append(("period-pi", make_contraction([[0, 1], [0.5, 0]]), J))
+    for d in (1, 3):
+        q = random_unitary(rng, d)
+        lam = np.concatenate([[-0.995], rng.uniform(-0.5, 0.5, d - 1)])
+        pairs.append((f"minus-0.995-{d}", gen("strict", d, d + 9, norm_bound=0.6),
+                      make_contraction(q @ np.diag(lam) @ q.conj().T)))
+    return pairs
+
+
+class TestDenseReference:
+    """The level-set sweep against a 16,384-point grid plus refinement."""
+
+    @pytest.mark.parametrize("label, a, b", [pytest.param(*p, id=p[0])
+                                             for p in dense_reference_pairs()])
+    def test_estimate_matches_dense_maximum(self, label, a, b):
+        v = harnack_dominates(a, b)
+        assert (v.status, v.method) == (DOMINATED, "symbol")
+        ref = dense_symbol_max(a.mat, b.mat)
+        assert v.constant_estimate == pytest.approx(ref, rel=1e-9)
+
+
 def b_eps(eps):
     """A contraction that leaves ker D_J = span(e2) by eps: b e2 = (sqrt(1 - eps^2), eps)."""
     return make_contraction([[0.0, math.sqrt(1.0 - eps ** 2)], [0.0, eps]])
@@ -403,16 +468,23 @@ class TestSplit:
     def test_eigenvalue_left_on_the_circle_is_inconclusive(self, monkeypatch):
         # a split that misses the unitary part must not end Dominated
         u_q = gen("direct_sum_U_plus_Q", 4, 2, unitary_dim=2, norm_bound=0.6)
-        monkeypatch.setattr(harnack, "reducing_unitary_part",
-                            lambda c, tol: Subspace(c.dim, np.zeros((c.dim, 0))))
+        monkeypatch.setattr(harnack, "asymptotic_limit", lambda c, tol: SimpleNamespace(
+            null_s=Subspace(c.dim, np.eye(c.dim, dtype=complex))))
         v = harnack_dominates(u_q, u_q)
         assert v.status == INCONCLUSIVE and v.method == "symbol"
+
+    def test_complement_is_read_from_the_split(self, monkeypatch):
+        u_q = gen("direct_sum_U_plus_Q", 4, 2, unitary_dim=2, norm_bound=0.6)
+        counts = count_calls(monkeypatch, "eigh")
+        v = harnack_dominates(u_q, u_q)
+        assert (v.status, v.method) == (DOMINATED, "symbol")
+        assert counts["eigh"] == 0
 
     def test_split_is_off_the_gate_path(self, monkeypatch):
         def no_split(*args):
             raise AssertionError("split a pair inside the circle")
 
-        monkeypatch.setattr(harnack, "reducing_unitary_part", no_split)
+        monkeypatch.setattr(harnack, "asymptotic_limit", no_split)
         v = harnack_dominates(scalar(0.5), scalar(0.0))
         assert v.status == DOMINATED and v.method == "symbol"
 
