@@ -59,11 +59,10 @@ from .linalg import (
 )
 from .schur import (
     ArcCertificate,
-    NotMemberError,
+    MobiusArc,
     SchurPoly,
     connect_arc,
     kobayashi_upper_bound,
-    partial_isometry_arc,
     schur_part_member,
     schur_poly,
     segment_radius,

@@ -231,11 +231,13 @@ def _cmd_arc(args, tol) -> int:
         cert = result.certificate
         report["certificate"] = {
             "arcs": [
-                {"coeffs": [matrix_to_json(c) for c in poly.coeffs],
+                {"z": [float(x) for x in arc.z],
+                 "v": matrix_to_json(arc.v),
                  "lambda": _complex_json(lam),
-                 "sup_norm": poly.sup_norm_estimate,
-                 "method": poly.method}
-                for poly, lam in cert.arcs
+                 "pivot": arc.pivot,
+                 "sup_norm": arc.sup_norm_estimate,
+                 "method": arc.method}
+                for arc, lam in cert.arcs
             ],
             "bound": cert.kobayashi_bound,
             "endpoint_residuals": list(cert.endpoint_residuals),
@@ -334,7 +336,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("candidate")
     p.set_defaults(fn=_cmd_part)
 
-    p = sub.add_parser("arc", help="connect two contractions by Schur arcs")
+    p = sub.add_parser("arc", help="connect two contractions by a Moebius arc")
     p.add_argument("a")
     p.add_argument("b")
     p.set_defaults(fn=_cmd_arc)

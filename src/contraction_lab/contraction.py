@@ -129,29 +129,37 @@ def make_contraction(m, tol: Tolerances = DEFAULT_TOL,
 
     Norms inside (1, 1 + contraction_slack] are rescaled back onto the unit
     sphere; anything larger raises :class:`NotAContractionError` carrying
-    the computed norm.
+    the computed norm.  The norm is read from the full SVD, which seeds the
+    cache of :func:`_factored` (singular values divided by the norm on
+    rescale), so a new contraction is factored once.
     """
     a = as_matrix(m)
-    norm = op_norm(a)
+    u, s, vh = np.linalg.svd(a)
+    norm = float(s[0]) if s.size else 0.0
     if norm > 1.0 + tol.contraction_slack:
         raise NotAContractionError(norm)
     if norm > 1.0:
-        a = a / norm
-    return Contraction(a, tags)
+        a, s = a / norm, s / norm
+    c = Contraction(a, tags)
+    _keep_factors(c, (u, s, vh))
+    return c
 
 
 def _factored(c: Contraction) -> tuple:
-    """The full SVD (u, s, vh) of c.mat: taken once per contraction, read-only.
+    """The read-only full SVD (u, s, vh) of c.mat, taken once (make_contraction seeds it).
 
     It does not depend on the tolerances; defect data, Harnack level 1, the
     symbol sweep, the partial-isometry part and classify all read it.
     """
     if c._factors is None:
-        factors = np.linalg.svd(c.mat)
-        for f in factors:
-            f.setflags(write=False)
-        c._factors = tuple(factors)
+        _keep_factors(c, np.linalg.svd(c.mat))
     return c._factors
+
+
+def _keep_factors(c: Contraction, factors) -> None:
+    for f in factors:
+        f.setflags(write=False)
+    c._factors = tuple(factors)
 
 
 def _defect_side(basis: np.ndarray, r: np.ndarray, keep: np.ndarray):

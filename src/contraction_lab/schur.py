@@ -1,17 +1,14 @@
 """Schur-class matrix polynomials and the arc machinery.
 
 Polynomials F(lambda) = sum coeffs[k] lambda^k with contractive values on
-the disc connect Shmul'yan-equivalent contractions; chains of such arcs
-bound the Kobayashi pseudo-distance from above by summed hyperbolic hop
-lengths.  An arc the library builds (a hop of ``connect_arc``, the arc of
-``partial_isometry_arc``) is degree 1 and carries the whitened
-numerical-radius bound of ``segments`` alone, the bound that sized it.  A
-polynomial the library is given is certified by ``schur_poly``: circle
-sampling plus a derivative (Lipschitz) error term on every grid arc, with
-best-first refinement (the arcs sit on a binary heap keyed by their bound,
-the worst arc is bisected next, and ties go to the oldest arc), capped on
-degree 1 by the whitened bound.  Every reported bound is a true upper
-bound.
+the disc are certified by ``schur_poly``: circle sampling plus a
+derivative (Lipschitz) error term on every grid arc, with best-first
+refinement of the worst arc, capped on degree 1 by the whitened
+numerical-radius bound of ``segments``.  Shmul'yan-equivalent contractions
+are joined by ``connect_arc``: one Moebius arc in the defect chart of one
+end, whose ball automorphism gives the exact Kobayashi distance of that
+ball and whose contractivity is one small eigenvalue check.  Every
+reported bound is a true upper bound.
 """
 
 from __future__ import annotations
@@ -23,11 +20,12 @@ from typing import Optional
 
 import numpy as np
 
-from .contraction import Contraction, _factored, classify, defect_data, make_contraction
+from .contraction import Contraction, _factored, classify, defect_data
 from .linalg import (
     DEFAULT_TOL,
     ShapeMismatchError,
     Tolerances,
+    _defect_roots,
     as_matrix,
     compress,
     op_norm,
@@ -36,51 +34,41 @@ from .linalg import (
 # perfbench/spans.py checks that these bindings resolve to their traced
 # wrappers, so they stay
 from .segments import (  # noqa: F401
+    LEAK_RTOL,
     _disc_radius,
     _factored_disc,
     _whitened_disc,
     circle_max_norm,
     poly_norms,
     poly_value,
-    proven_radius,
     radius_search,
     unit_circle,
 )
 from .shmulyan import (  # noqa: F401
     NotPartialIsometryError,
     _factor_dominates,
-    partial_isometry_part,
     shmulyan_equivalent,
 )
 
 __all__ = [
     "ArcCertificate",
     "ArcResult",
-    "NotMemberError",
+    "MobiusArc",
     "SchurMemberVerdict",
     "SchurPoly",
     "connect_arc",
     "kobayashi_upper_bound",
-    "partial_isometry_arc",
     "schur_part_member",
     "schur_poly",
     "segment_radius",
 ]
 
 ENDPOINT_RTOL = 1e-8
-HOP_FRACTION = 0.9
-# Each hop coefficient is (1 - HOP_MARGIN) times the proven radius, so that
-# recomputing the bound on the hop's own coefficient, with its rounding,
-# stays at or below 1 (within the slack when a leak is charged).  At most about 1.4e-6: the scalar hop 0 -> 0.5 must
-# stay within 1e-6 of atanh(0.5).
-HOP_MARGIN = 1e-6
-HOP_BUDGET = 64
+# connect_arc scales V to norm 1 / (1 + MOBIUS_MARGIN): a gap of 6e-14 in I - V*V
+# over the rounding of its check, costing MOBIUS_MARGIN lambda0 / (1 - lambda0^2)
+MOBIUS_MARGIN = 3e-14
 SPLIT_BUDGET = 400
 SUP_GAP = 1e-9
-
-
-class NotMemberError(ValueError):
-    """Candidate does not belong to the required Shmul'yan part."""
 
 
 @dataclass(frozen=True)
@@ -219,10 +207,9 @@ def segment_radius(a: Contraction, b: Contraction,
     """Proven lower bound of the largest r with ||(1-eps)a + eps b|| <= 1 +
     tol.contraction_slack on the whole disc |eps| <= r.
 
-    ``segments.proven_radius`` of the segment, from a's cached SVD
-    (``contraction._factored``): positive exactly when b is Shmul'yan
-    dominated by a (up to the leak threshold), math.inf for (essentially)
-    constant segments.
+    ``segments.proven_radius`` of the segment, from a's cached SVD: positive
+    exactly when b is Shmul'yan dominated by a (up to the leak threshold),
+    math.inf for (essentially) constant segments.
     """
     if a.shape != b.shape:
         raise ShapeMismatchError(f"shape mismatch {a.shape} vs {b.shape}")
@@ -230,13 +217,54 @@ def segment_radius(a: Contraction, b: Contraction,
 
 
 @dataclass(frozen=True)
-class ArcCertificate:
-    """Chain of Schur-class arcs joining two contractions.
+class MobiusArc:
+    """F(lam) = t + K_out (phi_{-Z}(lam V) - Z) K_in*, the arc of
+    :func:`connect_arc` in the defect chart of t = U S V*.
 
-    Each entry is (F_j, lambda_j) with F_1(0) the start, F_j(lambda_j)
-    = F_{j+1}(0), and the last value the end point; the hyperbolic hop
-    lengths sum to the Kobayashi upper bound.
+    K_in and K_out are the defect-space bases of ``defect_data``, and Z =
+    K_out* t K_in is the rectangular diagonal of the kept singular values
+    z, so D_Z and D_{Z*} are the diagonals root_in and root_out of the kept
+    defect roots.  The chart term D_{Z*} Y (I + Z*Y)^{-1} D_Z, Y = lam V, is
+    0 at lam = 0.  A pivot p runs the arc backwards: mu -> F((p - mu) / (1 -
+    p mu)).  The arc keeps references to t.mat and the cached bases.
     """
+
+    base: np.ndarray
+    k_in: np.ndarray
+    k_out: np.ndarray
+    z: np.ndarray
+    root_in: np.ndarray
+    root_out: np.ndarray
+    v: np.ndarray
+    sup_norm_estimate: float
+    method: str = "mobius"
+    pivot: Optional[float] = None
+
+    @property
+    def shape(self):
+        return self.base.shape
+
+    def eval_at(self, lam: complex) -> np.ndarray:
+        if self.pivot is not None:
+            lam = (self.pivot - lam) / (1.0 - self.pivot * lam)
+        y = lam * self.v
+        step = self.root_out[:, None] * _chart_quotient(self.z, y, y, 1.0) * self.root_in
+        return self.base + self.k_out @ step @ self.k_in.conj().T
+
+    is_schur_class = SchurPoly.is_schur_class
+
+
+def _chart_quotient(z, num, den, sign: float) -> np.ndarray:
+    """num (I + sign Z* den)^{-1}, with Z the rectangular diagonal of z (real)."""
+    gram = np.eye(den.shape[1], dtype=complex)
+    gram[:z.size] += sign * z[:, None] * den[:z.size]
+    return np.linalg.solve(gram.T, num.T).T
+
+
+@dataclass(frozen=True)
+class ArcCertificate:
+    """The arcs (F, lambda) of connect_arc, one or none: F(0) and F(lambda) are the
+    ends up to the residuals, and atanh |lambda| is the Kobayashi bound."""
 
     arcs: tuple
     kobayashi_bound: float
@@ -251,106 +279,68 @@ class ArcResult:
 
 def connect_arc(t: Contraction, t_prime: Contraction,
                 tol: Tolerances = DEFAULT_TOL) -> ArcResult:
-    """Greedy affine chain from t to t_prime inside the unit ball.
+    """One Moebius arc from t to t_prime in the defect chart of t (:class:`MobiusArc`).
 
-    Arcs exist exactly for Shmul'yan-equivalent pairs, so inequivalence
-    is reported as proven NotConnected; running out of hop budget is the
-    distinct "budget_exhausted" outcome.  Equivalence is the decision of
-    ``shmulyan_dominates`` in both directions, without its audit routes.
-    Each hop from the point p on the segment is p + lambda s u with s =
-    (1 - HOP_MARGIN) times the proven radius of p along u, and carries the
-    whitened bound of :func:`_whitened_sup`, the bound that sized it, as
-    its sup-norm: at most 1 + contraction_slack by construction.
+    Arcs exist exactly for Shmul'yan-equivalent pairs (the decision of
+    ``shmulyan_dominates`` both ways, without its audit routes), so
+    inequivalence is proven "not_equivalent".  phi_Z(X) = D_{Z*}^{-1} (X - Z)
+    (I - Z*X)^{-1} D_Z sends Z to 0 and Z' = K_out* t_prime K_in to X; with
+    lambda0 = ||X|| (1 + MOBIUS_MARGIN) and V = X / lambda0, atanh lambda0 is
+    the Kobayashi distance of the chart ball (L. A. Harris, LNM 364, 1974).
+    I - M*M = D_Z K* (I - Y*Y) K D_Z for Y = lambda V, M = phi_{-Z}(Y), K =
+    (I + Z*Y)^{-1}, so ||M|| <= 1 once one eigvalsh of I - V*V is >= 0.  The
+    endpoint residual, the part of t_prime - t off the chart (diff Q_in +
+    Q_out diff (I - Q_in) for the kernel projections Q), is at most twice the
+    leak the decision accepted.  With t_prime on the boundary of the chart,
+    the arc in the chart of t_prime is run backwards.  "budget_exhausted":
+    both failed (the check, lambda0 < 1, the sup-norm or that residual bound).
     """
     if t.shape != t_prime.shape:
         raise ShapeMismatchError(f"shape mismatch {t.shape} vs {t_prime.shape}")
-    u = t_prime.mat - t.mat
-    if op_norm(u) <= 1e-12:
+    gap = op_norm(t_prime.mat - t.mat)
+    if gap <= 1e-12:
         return ArcResult("connected", ArcCertificate((), 0.0, ()))
     if not (_factor_dominates(t_prime, t, tol) and _factor_dominates(t, t_prime, tol)):
         return ArcResult("not_equivalent", None)
-
-    arcs = []
-    residuals = []
-    bound = 0.0
-    tau = 0.0
-    for _ in range(HOP_BUDGET):
-        point = t.mat + tau * u
-        s_max = (1.0 - HOP_MARGIN) * proven_radius(point, u, tol)
-        if s_max == 0.0:
-            return ArcResult("budget_exhausted", None)
-        if math.isinf(s_max):
-            s_max = max(4.0 * (1.0 - tau), 1.0)
-        coeffs = (point, s_max * u)
-        arc = SchurPoly(coeffs, _whitened_sup(coeffs, tol), "whitened")
-        final = 1.0 - tau <= s_max * 0.97
-        lam = (1.0 - tau) / s_max if final else HOP_FRACTION
-        arcs.append((arc, complex(lam)))
-        residuals.append(op_norm(arc.eval_at(lam) - t_prime.mat) if final else 0.0)
-        bound += math.atanh(lam)
-        if final:
-            break
-        tau += lam * s_max
-    else:
-        return ArcResult("budget_exhausted", None)
-
-    residuals.insert(0, op_norm(arcs[0][0].eval_at(0.0) - t.mat))
-    return ArcResult("connected", ArcCertificate(
-        arcs=tuple(arcs),
-        kobayashi_bound=bound,
-        endpoint_residuals=tuple(residuals),
-    ))
+    for start, end, turned in ((t, t_prime, False), (t_prime, t, True)):
+        arc, lam = _chart_arc(start, end, turned, tol)
+        # the arc is exact at start (lam = 0 in its chart): only end leaves a residual
+        residual = op_norm(arc.eval_at(0.0 if turned else lam) - end.mat)
+        if lam < 1.0 and arc.is_schur_class(tol) and residual <= 2.0 * LEAK_RTOL * max(1.0, gap):
+            cert = ArcCertificate(((arc, complex(lam)),), math.atanh(lam),
+                                  (residual, 0.0) if turned else (0.0, residual))
+            return ArcResult("connected", cert)
+    return ArcResult("budget_exhausted", None)
 
 
-def partial_isometry_arc(w: Contraction, t_prime: Contraction,
-                         tol: Tolerances = DEFAULT_TOL) -> ArcCertificate:
-    """Single-arc certificate inside the part of a partial isometry.
-
-    With Z the member's pure block and rho = ||Z||, the arc
-    F(lambda) = w + lambda * (embedded Z / sqrt(rho)) reaches t_prime at
-    lambda = sqrt(rho) and stays contractive since its defect coefficient
-    has norm sqrt(rho) < 1; the bound is atanh(sqrt(rho)).  The arc
-    carries the whitened bound of :func:`_whitened_sup` as its sup-norm.
-    """
-    part = partial_isometry_part(w, tol)
-    membership = part.membership_test(t_prime)
-    if not membership.member:
-        raise NotMemberError("t_prime is not in the part of w")
-    z = membership.z_block
-    rho = op_norm(z)
-    if rho <= tol.contraction_slack:
-        return ArcCertificate((), 0.0, ())
-    lam0 = math.sqrt(rho)
-    embedded = part.null_out.basis @ (z / lam0) @ part.null_in.basis.conj().T
-    coeffs = (w.mat, embedded)
-    arc = SchurPoly(coeffs, _whitened_sup(coeffs, tol), "whitened")
-    resid = (op_norm(arc.eval_at(0.0) - w.mat),
-             op_norm(arc.eval_at(lam0) - t_prime.mat))
-    return ArcCertificate(
-        arcs=((arc, complex(lam0)),),
-        kobayashi_bound=math.atanh(lam0),
-        endpoint_residuals=resid,
-    )
+def _chart_arc(t: Contraction, t_prime: Contraction, turned: bool, tol: Tolerances):
+    """The arc of :func:`connect_arc` in the chart of t (pivoted when turned) and
+    lambda0.  Sup-norm: 1 + max(0, s_0 - 1), the chart residual ||t - U S V*||_F
+    and 8 m eps for the rounding of the stored roots and bases."""
+    u, s, vh = _factored(t)
+    dd = defect_data(t, tol)
+    (r_in, keep_in), (r_out, keep_out) = _defect_roots(s, tol, vh.shape[0], u.shape[0])
+    z, root_in, root_out = s[keep_in[:s.size]], r_in[keep_in], r_out[keep_out]
+    target = dd.defect_space_star.basis.conj().T @ t_prime.mat @ dd.defect_space.basis
+    diff = target.copy()
+    diff[np.arange(z.size), np.arange(z.size)] -= z
+    x = _chart_quotient(z, diff, target, -1.0) * root_in / root_out[:, None]
+    lam = op_norm(x) * (1.0 + MOBIUS_MARGIN)
+    v = x / lam if lam else x
+    checked = np.linalg.eigvalsh(np.eye(v.shape[1]) - v.conj().T @ v).min(initial=1.0) >= 0.0
+    rounding = 8.0 * max(t.shape) * np.finfo(float).eps  # on a chart term of norm <= 2
+    chart = np.linalg.norm(t.mat - (u[:, :s.size] * s) @ vh[:s.size])
+    sup = 1.0 + max(0.0, float(s[0]) - 1.0) + float(chart) + rounding
+    return MobiusArc(t.mat, dd.defect_space.basis, dd.defect_space_star.basis, z, root_in,
+                     root_out, v, sup if checked else math.inf, pivot=lam if turned else None), lam
 
 
 def kobayashi_upper_bound(t: Contraction, t_prime: Contraction,
                           tol: Tolerances = DEFAULT_TOL) -> float:
-    """Upper bound on the Kobayashi pseudo-distance; inf iff inequivalent."""
-    if t.shape != t_prime.shape:
-        raise ShapeMismatchError(f"shape mismatch {t.shape} vs {t_prime.shape}")
-    best = math.inf
+    """The Kobayashi bound of :func:`connect_arc`; math.inf when it does not
+    connect the pair (always so for inequivalent pairs)."""
     result = connect_arc(t, t_prime, tol)
-    if result.status == "not_equivalent":
-        return math.inf
-    if result.status == "connected":
-        best = result.certificate.kobayashi_bound
-    if t.is_square and "partial_isometry" in classify(t, tol):
-        try:
-            cert = partial_isometry_arc(t, t_prime, tol)
-            best = min(best, cert.kobayashi_bound)
-        except NotMemberError:
-            pass
-    return best
+    return result.certificate.kobayashi_bound if result.status == "connected" else math.inf
 
 
 @dataclass(frozen=True)

@@ -13,8 +13,8 @@ one, from the whitened numerical radius: ||c + eps u|| <= 1 on |eps| <= r
 exactly when P + eps N + conj(eps) N* >= 0 with P = [[I, c], [c*, I]] and
 N = [[0, u], [0, 0]]; a small leak of N onto ker P is charged to the
 slack.  ``_kernel_leak``, the one test of a leak onto isometric directions,
-decides the disc, the Shmul'yan order and Harnack level 1.  The arc hops
-and the Shmul'yan segment route read ``proven_radius``, the latter from the
+decides the disc, the Shmul'yan order and Harnack level 1.  The Shmul'yan
+segment route and ``schur.segment_radius`` read ``proven_radius`` from the
 dominator's cached SVD.  ``radius_search`` looks only at sampled points of
 the circles, so its radius is a sampled estimate: the circle may leave the
 ball between two samples.  The library no longer calls it; it stays for
@@ -274,17 +274,19 @@ def _whitened_disc(center, direction, tol: Tolerances = DEFAULT_TOL):
       f(theta + pi) = -lambda_min(Re(e^{i theta} A)), M angles cost M/2
       eigvalsh, batched EIG_BATCH_ENTRIES matrix entries at a time;
     - Kittaneh's w(A) <= (||A|| + ||A^2||^{1/2}) / 2 (Studia Math. 158,
-      2003), exact when A^2 = 0, as on flat partial-isometry hops (A^2 from
-      _whitened, not the rounded A A).
+      2003), exact when A^2 = 0, as on flat partial-isometry segments (A^2
+      from _whitened, not the rounded A A).
     The smaller one plus 4 m eps ||A|| for the rounding of the m x m
     eigenproblems is w_upper.
     """
     return _factored_disc(np.linalg.svd(as_matrix(center)), as_matrix(direction), tol)
 
 
-def _factored_disc(factors, u, tol: Tolerances):
+def _factored_disc(factors, u, tol: Tolerances, kernel_leak=None):
     """:func:`_whitened_disc` of the center whose full SVD is ``factors``
-    (u, s, vh), such as a contraction's cached ``contraction._factored``."""
+    (u, s, vh), such as a contraction's cached ``contraction._factored``.
+    ``kernel_leak`` is the (leak, bound) of :func:`_kernel_leak` on these
+    kernel bases when the caller has it already."""
     left, s, right_h = factors
     if s.size == 0:
         return 0.0, 0.0, 0.0
@@ -293,7 +295,8 @@ def _factored_disc(factors, u, tol: Tolerances):
     s = np.minimum(s, 1.0)
     (_, keep_in), (_, keep_out) = _defect_roots(s, tol, n, m)
     # the kernel bases of contraction.defect_data, the same floats
-    leak, bound = _kernel_leak(u, right_h.conj().T[:, ~keep_in], left[:, ~keep_out])
+    leak, bound = kernel_leak or _kernel_leak(
+        u, right_h.conj().T[:, ~keep_in], left[:, ~keep_out])
     if overshoot > tol.psd_atol or leak > bound:
         return math.inf, overshoot, leak / math.sqrt(2.0)
     keep = keep_in[:s.size] | keep_out[:s.size]

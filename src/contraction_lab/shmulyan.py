@@ -143,8 +143,8 @@ def shmulyan_dominates(b: Contraction, a: Contraction,
     _, res_y, bound_y = _two_sided_solve(dd.d_t, dd.d_t_pinv, gram, dd.d_t, dd.d_t_pinv)
     feasible_gram = res_y <= bound_y
 
-    # the disc of the SVD that defect_data read, not a second factorization
-    radius = _disc_radius(_factored_disc(_factored(a), diff, tol), tol)
+    # the disc of the SVD that defect_data read, and of the decision's leak
+    radius = _disc_radius(_factored_disc(_factored(a), diff, tol, (leak, bound)), tol)
     feasible_segment = radius > 0.0
 
     witness = None

@@ -102,11 +102,10 @@ def _structured_dominator(rng, d: int, seed: int, tol: Tolerances) -> Contractio
     return generate(GenSpec(dim=d, kind=kind, seed=seed, params=params), tol)
 
 
-def run_route_agreement(cases: int = 1000, seed: int = 101,
-                        tol: Tolerances = DEFAULT_TOL) -> SuiteReport:
-    """Shmul'yan routes (defect factor, cross Gram, segment) agree exactly."""
+def route_agreement_pairs(cases: int = 1000, seed: int = 101,
+                          tol: Tolerances = DEFAULT_TOL):
+    """Criterion-1 cases (i, d, dominator a, candidate b)."""
     rng = np.random.default_rng(seed)
-    failures = []
     for i in range(cases):
         d = int(rng.integers(1, 7))
         pick = rng.uniform()
@@ -136,6 +135,14 @@ def run_route_agreement(cases: int = 1000, seed: int = 101,
                 b = make_contraction(
                     np.full((1, 1), math.e ** (2j * math.pi * rng.uniform())), tol)
             d = 1
+        yield i, d, a, b
+
+
+def run_route_agreement(cases: int = 1000, seed: int = 101,
+                        tol: Tolerances = DEFAULT_TOL) -> SuiteReport:
+    """Shmul'yan routes (defect factor, cross Gram, segment) agree exactly."""
+    failures = []
+    for i, d, a, b in route_agreement_pairs(cases, seed, tol):
         verdict = shmulyan_dominates(b, a, tol)
         if len(set(verdict.route_agreement.values())) != 1:
             failures.append(
@@ -376,12 +383,10 @@ def run_commuting_triangulation(cases: int = 300, seed: int = 105,
     return SuiteReport("commuting-triangulation", cases, failures)
 
 
-def run_quasi_normal_pipeline(cases: int = 300, seed: int = 106,
-                              tol: Tolerances = DEFAULT_TOL) -> SuiteReport:
-    """Doubly commuting normal pairs: the characterizations agree pairwise."""
+def quasi_normal_pairs(cases: int = 300, seed: int = 106,
+                       tol: Tolerances = DEFAULT_TOL):
+    """Criterion-6 cases (i, pick, t, t'), boundary eigenvalues from pick 0.55 on."""
     rng = np.random.default_rng(seed)
-    failures = []
-    arc_budget = 30
     for i in range(cases):
         d = int(rng.integers(2, 6))
         pick = rng.uniform()
@@ -393,8 +398,16 @@ def run_quasi_normal_pipeline(cases: int = 300, seed: int = 106,
         else:
             params.update({"boundary_count": int(rng.integers(1, 3)),
                            "boundary_mismatch": True})
-        t, t_p = generate(GenSpec(d, "doubly_commuting_pair", seed=19 * i,
-                                  params=params), tol)
+        yield (i, pick, *generate(GenSpec(d, "doubly_commuting_pair", seed=19 * i,
+                                          params=params), tol))
+
+
+def run_quasi_normal_pipeline(cases: int = 300, seed: int = 106,
+                              tol: Tolerances = DEFAULT_TOL) -> SuiteReport:
+    """Doubly commuting normal pairs: the characterizations agree pairwise."""
+    failures = []
+    arc_budget = 30
+    for i, pick, t, t_p in quasi_normal_pairs(cases, seed, tol):
         witness_arc = arc_budget > 0 and pick < 0.55
         if witness_arc:
             arc_budget -= 1
@@ -471,17 +484,26 @@ def _inequivalent_pair(rng, d: int, seed: int, tol: Tolerances):
     return a, b
 
 
+def arc_connectivity_pairs(cases: int = 200, seed: int = 107, tol: Tolerances = DEFAULT_TOL):
+    """Criterion-7 cases (i, equivalent, a, b), the equivalent pairs first."""
+    rng = np.random.default_rng(seed)
+    for i in range(cases):
+        yield (i, True) + _equivalent_pair(rng, int(rng.integers(1, 5)), 23 * i, tol)
+    for i in range(cases):
+        yield (i, False) + _inequivalent_pair(rng, max(int(rng.integers(1, 5)), 2), 29 * i, tol)
+
+
 def run_arc_connectivity(cases: int = 200, seed: int = 107,
                          tol: Tolerances = DEFAULT_TOL) -> SuiteReport:
     """Arcs exist exactly on Shmul'yan-equivalent pairs, with sound bounds."""
-    rng = np.random.default_rng(seed)
     failures = []
-    for i in range(cases):
-        d = int(rng.integers(1, 5))
-        a, b = _equivalent_pair(rng, max(d, 1), 23 * i, tol)
+    for i, equivalent, a, b in arc_connectivity_pairs(cases, seed, tol):
+        if not equivalent and op_norm(a.mat - b.mat) < 0.05:
+            continue  # rare coincident draws carry no information
         result = connect_arc(a, b, tol)
-        if result.status != "connected":
-            failures.append(f"equivalent case {i}: {result.status}")
+        if result.status != ("connected" if equivalent else "not_equivalent"):
+            failures.append(f"{'' if equivalent else 'in'}equivalent case {i}: {result.status}")
+        if not equivalent or result.status != "connected":
             continue
         cert = result.certificate
         if not math.isfinite(cert.kobayashi_bound):
@@ -493,18 +515,8 @@ def run_arc_connectivity(cases: int = 200, seed: int = 107,
         if any(r > BLOCK_RTOL for r in cert.endpoint_residuals):
             failures.append(f"equivalent case {i}: endpoint residuals "
                             f"{max(cert.endpoint_residuals):.2e}")
-    for i in range(cases):
-        d = int(rng.integers(1, 5))
-        a, b = _inequivalent_pair(rng, max(d, 2), 29 * i, tol)
-        if op_norm(a.mat - b.mat) < 0.05:
-            continue  # rare coincident draws carry no information
-        result = connect_arc(a, b, tol)
-        if result.status != "not_equivalent":
-            failures.append(f"inequivalent case {i}: {result.status}")
-    scalar = connect_arc(make_contraction([[0.0]], tol),
-                         make_contraction([[0.5]], tol), tol)
-    if scalar.status != "connected" or \
-            scalar.certificate.kobayashi_bound > math.atanh(0.5) + 1e-6:
+    scalar = connect_arc(make_contraction([[0.0]], tol), make_contraction([[0.5]], tol), tol)
+    if scalar.status != "connected" or scalar.certificate.kobayashi_bound > math.atanh(0.5) + 1e-6:
         failures.append(f"scalar pair bound "
                         f"{scalar.certificate and scalar.certificate.kobayashi_bound}")
     return SuiteReport("arc-connectivity", 2 * cases + 1, failures)
@@ -537,12 +549,9 @@ def run_schur_part_strictness(cases: int = 100, seed: int = 108,
         base = schur_poly(raw, tol).sup_norm_estimate
         for target, wanted in ((0.999, True), (1.001, False)):
             scale = target / base
-            coeffs = [w.mat + dd.defect_space_star.basis @ (raw[0] * scale)
-                      @ dd.defect_space.basis.conj().T]
-            for c in raw[1:]:
-                coeffs.append(dd.defect_space_star.basis @ (c * scale)
-                              @ dd.defect_space.basis.conj().T)
-            f = schur_poly(coeffs, tol)
+            lift = [dd.defect_space_star.basis @ (c * scale) @ dd.defect_space.basis.conj().T
+                    for c in raw]
+            f = schur_poly([w.mat + lift[0]] + lift[1:], tol)
             got = schur_part_member(w, f, tol)
             if got.member != wanted:
                 failures.append(f"case {i} target {target}: member={got.member} "

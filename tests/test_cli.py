@@ -153,28 +153,41 @@ class TestPartAndArc:
         code, report = run_cli(["arc", files["zero"], files["half"]])
         assert code == 0
         cert = report["certificate"]
-        assert cert["bound"] <= np.arctanh(0.5) + 1e-6
-        first = matrix_from_json(cert["arcs"][0]["coeffs"][0])
-        assert first.shape == (1, 1)
+        assert cert["bound"] == pytest.approx(np.arctanh(0.5), abs=1e-13)
+        (arc,) = cert["arcs"]
+        v = matrix_from_json(arc["v"])
+        assert v.shape == (1, 1) and arc["z"] == [0.0]
+        # lambda0 V = phi_0(0.5) = 0.5 in the chart bases
+        assert abs(arc["lambda"]["re"] * v[0, 0]) == pytest.approx(0.5, abs=1e-15)
 
-    def test_arc_reports_each_hop_sup_norm(self, files):
+    def test_arc_reports_the_mobius_data(self, files):
         code, report = run_cli(["arc", files["J"], files["JZ"]])
         assert code == 0
-        for arc in report["certificate"]["arcs"]:
-            assert arc["method"] == "whitened"
-            assert arc["sup_norm"] <= 1.0 + DEFAULT_TOL.contraction_slack
+        (arc,) = report["certificate"]["arcs"]
+        assert arc["method"] == "mobius"
+        assert arc["sup_norm"] <= 1.0 + DEFAULT_TOL.contraction_slack
+        assert arc["z"] == [0.0]
+        assert report["certificate"]["endpoint_residuals"][0] == 0.0
 
-    def test_arc_hops_follow_psd_atol(self, files):
+    def test_arc_follows_psd_atol(self, files):
         a = write_matrix(files["tmp"] / "a.json", np.diag([1.0 - 1e-9, 0.3]))
         b = write_matrix(files["tmp"] / "b.json", np.diag([1.0, 0.8]))
+        # under the default psd_atol e1 is in the chart of a, where b's
+        # norm-one entry is on the boundary of the chart ball: the arc in the
+        # chart of b is run backwards, and the 1e-9 gap is the start residual
         code, default = run_cli(["arc", a, b])
         assert code == 0
+        (arc,) = default["certificate"]["arcs"]
+        assert arc["z"] == [0.8] and arc["pivot"] == arc["lambda"]["re"]
+        assert default["certificate"]["endpoint_residuals"][0] == pytest.approx(1e-9, rel=1e-6)
+        # under 1e-8 e1 is in the W block, and b's 1e-9 gap there is left
+        # as the endpoint residual
         code, wide = run_cli(["--psd-atol", "1e-8", "arc", a, b])
         assert code == 0
         assert wide["tolerances"]["psd_atol"] == 1e-8
-        # the 1e-9 eigenvalue of P is a kernel direction under 1e-8, and the
-        # direction's leak onto it shortens every hop
-        assert len(wide["certificate"]["arcs"]) > 4 * len(default["certificate"]["arcs"])
+        assert wide["certificate"]["arcs"][0]["z"] == [0.3]
+        assert wide["certificate"]["arcs"][0]["pivot"] is None
+        assert wide["certificate"]["endpoint_residuals"][1] == pytest.approx(1e-9, rel=1e-6)
 
     def test_arc_disconnected(self, files):
         code, report = run_cli(["arc", files["one"], files["half"]])

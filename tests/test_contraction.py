@@ -16,7 +16,7 @@ from contraction_lab import (
     ttstar_power_limit,
     up_decompose,
 )
-from contraction_lab import schur, segments, shmulyan
+from contraction_lab import contraction, schur, segments, shmulyan
 from contraction_lab.asymptotics import asymptotic_limit
 from contraction_lab.contraction import PREDICATE_RTOL, _isometry_residuals
 from contraction_lab.harnack import harnack_equivalence
@@ -179,27 +179,57 @@ def count_full_svds(monkeypatch, *mats):
 
 class TestOneFactorization:
     def test_defect_data_takes_one_svd(self, monkeypatch):
-        c = generate(GenSpec(dim=8, kind="partial_isometry", seed=1, params={"rank": 4}))
+        mat = generate(GenSpec(dim=8, kind="partial_isometry", seed=1, params={"rank": 4})).mat
         counts = count_factorizations(monkeypatch)
-        defect_data(c)
+        defect_data(make_contraction(mat))
         assert counts == {"svd": 1, "eigh": 0, "norm": 0}
 
-    def test_factor_decision_takes_one_svd(self, monkeypatch):
+    @pytest.mark.parametrize("scale", [0.7, 1.0 + 0.5e-10])
+    def test_new_contraction_takes_one_svd(self, monkeypatch, scale):
+        # the norm comes from the SVD that seeds the cache; on rescale the
+        # singular values are divided by the norm
+        g = np.random.default_rng(4).standard_normal((5, 3)) + 0j
+        g *= scale / np.linalg.svd(g, compute_uv=False)[0]
+        counts = count_factorizations(monkeypatch)
+        c = make_contraction(g)
+        u, s, vh = contraction._factored(c)
+        assert counts == {"svd": 1, "eigh": 0, "norm": 0}
+        assert op_norm((u[:, :3] * s) @ vh - c.mat) <= 1e-15
+        assert s[0] == (1.0 if scale > 1.0 else pytest.approx(0.7, rel=1e-15))
+        assert not any(f.flags.writeable for f in (u, s, vh))
+
+    def test_factor_decision_reads_the_cached_svd(self, monkeypatch):
         a = generate(GenSpec(dim=8, kind="partial_isometry", seed=1, params={"rank": 4}))
         b = generate(GenSpec(dim=8, kind="strict", seed=2))
         counts = count_factorizations(monkeypatch)
         assert not shmulyan._factor_dominates(b, a, DEFAULT_TOL)
-        assert counts == {"svd": 1, "eigh": 0, "norm": 3}
+        assert counts == {"svd": 0, "eigh": 0, "norm": 3}
+
+    def test_verdict_takes_one_leak_test(self, monkeypatch):
+        # the segment route's disc reads the decision's leak: 3 leak norms,
+        # 2 of the cross-Gram route and 2 of the disc, not 3 more leak norms
+        w = generate(GenSpec(dim=8, kind="partial_isometry", seed=1, params={"rank": 4}))
+        part = shmulyan.partial_isometry_part(w)
+        m = make_contraction(w.mat + part.null_out.basis @ (0.5 * np.eye(4))
+                             @ part.null_in.basis.conj().T)
+        defect_data(w)
+        counts = count_factorizations(monkeypatch)
+        v = shmulyan.shmulyan_dominates(m, w)
+        assert v.dominates and all(v.route_agreement.values())
+        assert counts == {"svd": 0, "eigh": 0, "norm": 7}
+        # the radius of the disc that takes its own leak test, bit for bit
+        disc = segments._factored_disc(contraction._factored(w), m.mat - w.mat, DEFAULT_TOL)
+        assert v.radius == segments._disc_radius(disc, DEFAULT_TOL)
 
     def test_both_orders_share_one_svd_per_contraction(self, monkeypatch):
         """The part, Harnack and Shmul'yan equivalence of a partial isometry w
         and a member m of its part factor w once and m once."""
         w0 = generate(GenSpec(dim=8, kind="partial_isometry", seed=3, params={"rank": 4}))
         part = shmulyan.partial_isometry_part(w0)
-        m = make_contraction(w0.mat + part.null_out.basis @ (0.5 * np.eye(4))
-                             @ part.null_in.basis.conj().T)
+        member = w0.mat + part.null_out.basis @ (0.5 * np.eye(4)) @ part.null_in.basis.conj().T
         w = Contraction(w0.mat)
-        counts = count_full_svds(monkeypatch, w.mat, m.mat)
+        counts = count_full_svds(monkeypatch, w.mat, member)
+        m = make_contraction(member)
         shmulyan.partial_isometry_part(w)
         assert harnack_equivalence(w, m).status == "equivalent"
         assert shmulyan.shmulyan_equivalent(w, m).equivalent
@@ -213,7 +243,12 @@ class TestOneFactorization:
         counts = count_factorizations(monkeypatch)
         r = schur.segment_radius(w, m)
         assert counts["svd"] == 0
-        assert 0.0 < r == segments.proven_radius(w.mat, m.mat - w.mat)
+        # the disc of w's cached factors; w was rescaled, so its cached SVD
+        # is the input's, and a fresh SVD of w.mat moves the radius
+        # within the rounding its leak term charges
+        disc = segments._factored_disc(contraction._factored(w), m.mat - w.mat, DEFAULT_TOL)
+        assert 0.0 < r == segments._disc_radius(disc, DEFAULT_TOL)
+        assert r == pytest.approx(segments.proven_radius(w.mat, m.mat - w.mat), rel=1e-7)
 
 
 def trusted_in(fn, *args) -> list:

@@ -26,8 +26,9 @@ from contraction_lab import (
     positive_real_sample,
     quasi_normal_equivalence_report,
     shmulyan_dominates,
+    shmulyan_equivalent,
 )
-from contraction_lab import harnack
+from contraction_lab import harnack, suites
 from contraction_lab.corpus import GenSpec, generate, random_unitary
 from contraction_lab.harnack import FEJER_DEGREES, fejer_polynomial, real_part_at
 from contraction_lab.linalg import DEFAULT_TOL, Subspace, op_norm
@@ -624,3 +625,29 @@ class TestPipeline:
         assert all(report.hypotheses.values())
         assert not any(report.statements.values())
         assert report.consistent
+
+
+def criterion_pairs(criterion):
+    """Every pair the acceptance suite of a criterion draws, at its full count."""
+    if criterion == 1:
+        return [(a, b) for _, _, a, b in suites.route_agreement_pairs()]
+    if criterion == 4:
+        return [(w, c) for _, w, _, cands in partial_isometry_pairs() for _, c in cands or ()]
+    if criterion == 6:
+        return [(t, t_p) for _, _, t, t_p in suites.quasi_normal_pairs()]
+    return [(a, b) for _, _, a, b in suites.arc_connectivity_pairs()]
+
+
+class TestEquivalencesAgree:
+    """Harnack and Shmul'yan equivalence coincide on every suite pair."""
+
+    @pytest.mark.parametrize("criterion, count", [(1, 1000), (4, 600), (6, 300), (7, 400)])
+    def test_suite_pairs(self, criterion, count):
+        pairs = criterion_pairs(criterion)
+        assert len(pairs) == count
+        seen = set()
+        for k, (a, b) in enumerate(pairs):
+            equivalent = shmulyan_equivalent(a, b).equivalent
+            assert (harnack_equivalence(a, b).status == "equivalent") == equivalent, (criterion, k)
+            seen.add(equivalent)
+        assert seen == {True, False}

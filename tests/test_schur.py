@@ -8,11 +8,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from contraction_lab import (
-    NotMemberError,
     connect_arc,
     kobayashi_upper_bound,
     make_contraction,
-    partial_isometry_arc,
     schur_part_member,
     schur_poly,
     segment_radius,
@@ -25,12 +23,12 @@ from contraction_lab.segments import (
     circle_max_norm,
     poly_norms,
     poly_value,
-    proven_radius,
     unit_circle,
 )
 from contraction_lab.shmulyan import partial_isometry_part
 
 from conftest import rng_matrix, scaled_contraction
+from linalg_reference import psd_sqrt
 
 J = make_contraction([[0, 1], [0, 0]])
 JZ = make_contraction([[0, 1], [0.5, 0]])
@@ -302,7 +300,9 @@ class TestConnectArc:
     def test_scalar_schwarz_pick(self):
         result = connect_arc(sc(0.0), sc(0.5))
         assert result.status == "connected"
-        assert result.certificate.kobayashi_bound <= math.atanh(0.5) + 1e-6
+        # the exact distance, raised only by the margin of the arc's check
+        assert result.certificate.kobayashi_bound == pytest.approx(math.atanh(0.5), abs=1e-13)
+        assert result.certificate.kobayashi_bound >= math.atanh(0.5)
         assert len(result.certificate.arcs) == 1
 
     def test_identical_pair_empty_chain(self):
@@ -367,63 +367,149 @@ def arc_pair(kind, d, seed):
     return (w, member()) if kind == "eq-w-member" else (member(), member())
 
 
-# dense circle samples per hop; fewer at large d keep the stack small
+# dense circle samples per arc; fewer at large d keep the stack small
 DENSE_SAMPLES = {16: 2048, 32: 512}
 
 
-class TestProvenHops:
-    """Every hop of a chain is certified inside the ball by its own bound."""
+def mobius_distance(a, b):
+    """atanh ||phi_T(T')|| of two strict contractions, from eigh square roots."""
+    t, tp = a.mat, b.mat
+    eye = np.eye(t.shape[0])
+    x = (np.linalg.inv(psd_sqrt(eye - t @ t.conj().T)) @ (tp - t)
+         @ np.linalg.inv(eye - t.conj().T @ tp) @ psd_sqrt(eye - t.conj().T @ t))
+    return math.atanh(op_norm(x))
+
+
+def mobius_samples(arc, lam):
+    """||F(lam)|| on a stack of points, F = t + K_out (phi_{-Z}(lam V) - Z) K_in*
+    evaluated by the defining formula D_{Z*}^{-1} (Y + Z) (I + Z*Y)^{-1} D_Z,
+    after the pivot's disc automorphism when the arc runs backwards."""
+    if arc.pivot is not None:
+        lam = (arc.pivot - lam) / (1.0 - arc.pivot * lam)
+    q, p = arc.v.shape
+    z = np.zeros((q, p))
+    z[np.arange(arc.z.size), np.arange(arc.z.size)] = arc.z
+    y = lam[:, None, None] * arc.v
+    m = np.linalg.solve(np.swapaxes(np.eye(p) + z.T @ y, 1, 2),
+                        np.swapaxes(y + z, 1, 2))
+    m = np.swapaxes(m, 1, 2) * arc.root_in / arc.root_out[:, None]
+    values = arc.base + arc.k_out @ (m - z) @ arc.k_in.conj().T
+    return np.linalg.svd(values, compute_uv=False)[:, 0]
+
+
+class TestMobiusArc:
+    """connect_arc joins equivalent pairs by one certified Moebius arc."""
 
     @pytest.mark.parametrize("d", [2, 3, 4, 8, 16, 32])
     @pytest.mark.parametrize("kind", ["eq-strict", "eq-ball", "eq-members", "eq-w-member"])
-    def test_hops_certified(self, kind, d):
+    def test_arc_certified(self, kind, d):
         slack = DEFAULT_TOL.contraction_slack
+        samples = DENSE_SAMPLES.get(d, 16384)
+        lam = (1.0 - 1e-6) * np.exp(2j * np.pi * np.arange(samples) / samples)
         for seed in range(2):
             a, b = arc_pair(kind, d, 1000 * d + 10 * seed)
             result = connect_arc(a, b)
             assert result.status == "connected", (kind, d, seed)
-            for arc, _lam in result.certificate.arcs:
-                assert arc.method == "whitened"
-                assert arc.sup_norm_estimate <= 1.0 + slack, (kind, d, seed)
-                # the samples may exceed a bound of exactly 1 by SVD rounding
-                dense = circle_samples(arc.coeffs, DENSE_SAMPLES.get(d, 16384)).max()
-                assert dense <= arc.sup_norm_estimate + 1e-12, (kind, d, seed)
+            cert = result.certificate
+            (arc, lam0), = cert.arcs
+            assert arc.method == "mobius"
+            assert arc.sup_norm_estimate <= 1.0 + slack, (kind, d, seed)
+            dense = mobius_samples(arc, lam).max()
+            assert dense <= arc.sup_norm_estimate, (kind, d, seed)
+            assert max(cert.endpoint_residuals) <= schur.ENDPOINT_RTOL
+            assert cert.kobayashi_bound == math.atanh(lam0.real)
+            if kind == "eq-strict":
+                assert cert.kobayashi_bound == pytest.approx(mobius_distance(a, b), abs=1e-12)
 
-    def test_library_arcs_skip_the_grid(self, monkeypatch):
-        # arcs the library builds carry the whitened bound that sized them
+    def test_library_form_matches_the_definition(self):
+        # eval_at reads the chart term as D_{Z*} Y (I + Z*Y)^{-1} D_Z
+        for kind in ("eq-strict", "eq-ball", "eq-members"):
+            a, b = arc_pair(kind, 4, 11)
+            (arc, lam0), = connect_arc(a, b).certificate.arcs
+            for lam in (0.0, 0.5j, lam0, -0.9 + 0.1j):
+                got = op_norm(arc.eval_at(lam))
+                assert got == pytest.approx(mobius_samples(arc, np.array([lam]))[0], abs=1e-13)
+
+    def test_arcs_skip_the_grid_and_the_disc(self, monkeypatch):
+        # neither the circle grid nor the whitened numerical radius runs
         def refuse(*args, **kwargs):
-            raise AssertionError("_grid_sup called")
+            raise AssertionError("grid or disc called")
 
         monkeypatch.setattr(schur, "_grid_sup", refuse)
-        for a, b in ((J, JZ), arc_pair("eq-strict", 3, 5)):
+        monkeypatch.setattr(schur, "_whitened_sup", refuse)
+        for a, b in ((J, JZ), arc_pair("eq-strict", 3, 5), arc_pair("eq-w-member", 4, 7)):
             assert connect_arc(a, b).status == "connected"
             assert math.isfinite(kobayashi_upper_bound(a, b))
-        w, member = arc_pair("eq-w-member", 4, 7)
-        (arc, _lam), = partial_isometry_arc(w, member).arcs
-        assert arc.method == "whitened"
-        assert arc.is_schur_class()
 
-    def test_hop_uses_the_proven_radius(self):
+    def test_perturbed_direction_fails_the_certificate(self, monkeypatch):
+        # a negative margin scales V to norm 1 + 1e-6: I - V*V is not >= 0
         a, b = arc_pair("eq-strict", 3, 5)
-        arc, _ = connect_arc(a, b).certificate.arcs[0]
-        u = b.mat - a.mat
-        s = op_norm(arc.coeffs[1]) / op_norm(u)
-        assert s == pytest.approx((1.0 - schur.HOP_MARGIN) * proven_radius(a.mat, u), rel=1e-14)
+        (arc, _lam), = connect_arc(a, b).certificate.arcs
+        assert 1.0 - 1e-13 <= op_norm(arc.v) < 1.0
+        monkeypatch.setattr(schur, "MOBIUS_MARGIN", -1e-6 / (1.0 + 1e-6))
+        assert connect_arc(a, b).status == "budget_exhausted"
+        assert math.isinf(kobayashi_upper_bound(a, b))
 
-    def test_psd_atol_reaches_the_hops(self):
-        # P of the start has the eigenvalue 1e-9, a kernel direction under
-        # psd_atol = 1e-8, where the 1e-9 leak of u shortens every hop
+    @pytest.mark.parametrize("shape", [(3, 5), (5, 3)])
+    def test_rectangular_pairs_connect(self, shape):
+        rows, cols = shape
+        for seed in range(3):
+            a = make_contraction(0.7 * rng_matrix(seed, rows, cols)
+                                 / op_norm(rng_matrix(seed, rows, cols)))
+            dd = defect_data(a)
+            x = rng_matrix(seed + 50, rows, cols)
+            b = make_contraction(a.mat + dd.d_tstar @ (0.6 * x / op_norm(x)) @ dd.d_t)
+            result = connect_arc(a, b)
+            assert result.status == "connected"
+            (arc, lam), = result.certificate.arcs
+            assert arc.shape == shape
+            assert op_norm(arc.eval_at(lam) - b.mat) <= 1e-13
+
+    def test_psd_atol_moves_e1_into_w(self):
+        # s = 1 - 1e-9 has 1 - s^2 = 2e-9: a kernel direction under psd_atol
+        # = 1e-8, so e1 sits in the W block and the 1e-9 gap of b is left
+        # as the endpoint residual
         a = make_contraction(np.diag([1.0 - 1e-9, 0.3]))
         b = make_contraction(np.diag([1.0, 0.8]))
         wide = Tolerances(psd_atol=1e-8)
-        hops = {}
-        for tol in (DEFAULT_TOL, wide):
-            result = connect_arc(a, b, tol)
-            assert result.status == "connected"
-            for arc, _lam in result.certificate.arcs:
-                assert arc.sup_norm_estimate <= 1.0 + tol.contraction_slack
-            hops[tol.psd_atol] = len(result.certificate.arcs)
-        assert hops[1e-8] > 4 * hops[DEFAULT_TOL.psd_atol]
+        cert = connect_arc(a, b, wide).certificate
+        (arc, _lam), = cert.arcs
+        assert arc.z.size == 1 and arc.v.shape == (1, 1) and arc.pivot is None
+        assert cert.endpoint_residuals[1] == pytest.approx(1e-9, rel=1e-6)
+        assert cert.kobayashi_bound == pytest.approx(
+            math.atanh((0.8 - 0.3) / (1.0 - 0.24)), abs=1e-12)
+
+    def test_boundary_end_runs_the_arc_backwards(self):
+        # under the default psd_atol e1 stays in the chart of a, where b's
+        # norm-one entry is on the boundary of the chart ball; in the chart
+        # of b it is in the W block, and that arc is run backwards
+        a = make_contraction(np.diag([1.0 - 1e-9, 0.3]))
+        b = make_contraction(np.diag([1.0, 0.8]))
+        result = connect_arc(a, b)
+        assert result.status == "connected"
+        cert = result.certificate
+        (arc, lam), = cert.arcs
+        assert arc.pivot == lam.real and arc.base is b.mat
+        assert arc.sup_norm_estimate <= 1.0 + DEFAULT_TOL.contraction_slack
+        assert cert.endpoint_residuals[0] == pytest.approx(1e-9, rel=1e-6)
+        assert cert.endpoint_residuals[1] == 0.0
+        assert op_norm(arc.eval_at(0.0) - a.mat) == cert.endpoint_residuals[0]
+        assert np.array_equal(arc.eval_at(lam), b.mat)
+        assert cert.kobayashi_bound == pytest.approx(
+            math.atanh((0.8 - 0.3) / (1.0 - 0.24)), abs=1e-12)
+        dense = mobius_samples(arc, (1.0 - 1e-6) * unit_circle(4096)[1]).max()
+        assert dense <= arc.sup_norm_estimate
+
+    def test_endpoint_tolerance_is_the_decision_leak_bound(self):
+        # the leak 1.5e-8 of b onto ker D_a is under the decision's bound
+        # 1e-8 ||b - a|| = 1.9e-8, and stays as an endpoint residual above 1e-8
+        a = make_contraction(np.diag([1.0, 0.95]))
+        b = make_contraction(np.diag([1.0 - 1.5e-8, -0.95]))
+        assert shmulyan_equivalent(a, b).equivalent
+        result = connect_arc(a, b)
+        assert result.status == "connected"
+        residual = result.certificate.endpoint_residuals[1]
+        assert schur.ENDPOINT_RTOL < residual == pytest.approx(1.5e-8, rel=1e-6)
 
     def test_decision_skips_the_audit(self, monkeypatch):
         # the segment route's radius search is never run for an arc
@@ -433,21 +519,6 @@ class TestProvenHops:
         monkeypatch.setattr(shmulyan, "radius_search", refuse)
         assert connect_arc(J, JZ).status == "connected"
         assert connect_arc(sc(1.0), sc(0.5)).status == "not_equivalent"
-
-
-class TestPartialIsometryArc:
-    def test_nilpotent_member(self):
-        cert = partial_isometry_arc(J, JZ)
-        assert cert.kobayashi_bound == pytest.approx(math.atanh(math.sqrt(0.5)))
-        assert max(cert.endpoint_residuals) < 1e-10
-
-    def test_self_is_trivial(self):
-        cert = partial_isometry_arc(J, J)
-        assert cert.kobayashi_bound == 0.0
-
-    def test_boundary_block_rejected(self):
-        with pytest.raises(NotMemberError):
-            partial_isometry_arc(J, make_contraction([[0, 1], [1, 0]]))
 
 
 class TestKobayashi:
@@ -460,17 +531,14 @@ class TestKobayashi:
     def test_infinite_for_inequivalent(self):
         assert math.isinf(kobayashi_upper_bound(sc(1.0), sc(0.5)))
 
-    def test_partial_isometry_uses_single_arc(self):
-        bound = kobayashi_upper_bound(J, JZ)
-        assert bound <= math.atanh(math.sqrt(0.5)) + 1e-9
+    def test_partial_isometry_part_distance(self):
+        # JZ is J plus the block 0.5 on the defect spaces of J
+        assert kobayashi_upper_bound(J, JZ) == pytest.approx(math.atanh(0.5), abs=1e-13)
 
-    def test_roughly_symmetric(self):
+    def test_symmetric(self):
         a = scaled_contraction(3, 2, 0.5)
         b = scaled_contraction(4, 2, 0.7)
-        fwd = kobayashi_upper_bound(a, b)
-        bwd = kobayashi_upper_bound(b, a)
-        assert fwd <= 2 * bwd + 1e-9
-        assert bwd <= 2 * fwd + 1e-9
+        assert kobayashi_upper_bound(a, b) == pytest.approx(kobayashi_upper_bound(b, a), abs=1e-12)
 
 
 class TestSchurPartMember:

@@ -14,6 +14,7 @@ from contraction_lab import (
     shmulyan_dominates,
     shmulyan_equivalent,
 )
+from contraction_lab.contraction import _factored
 from contraction_lab.corpus import GenSpec, generate, random_unitary
 from contraction_lab.harnack import NOT_DOMINATED, harnack_dominates
 from contraction_lab import segments, shmulyan
@@ -88,12 +89,7 @@ class TestDecisionAlone:
     def test_criterion_7_pairs(self, monkeypatch):
         from contraction_lab import shmulyan, suites
 
-        rng = np.random.default_rng(107)
-        pairs = []
-        for i in range(30):
-            d = int(rng.integers(1, 5))
-            pairs.append(suites._equivalent_pair(rng, d, 23 * i, DEFAULT_TOL))
-            pairs.append(suites._inequivalent_pair(rng, max(d, 2), 29 * i, DEFAULT_TOL))
+        pairs = [(a, b) for _, _, a, b in suites.arc_connectivity_pairs(30)]
         verdicts = [(shmulyan_dominates(b, a), shmulyan_dominates(a, b)) for a, b in pairs]
 
         def refuse(*args, **kwargs):
@@ -496,7 +492,11 @@ class TestVerdictRadius:
             assert 0.0 < v.radius < math.inf
             assert _circle_max(a.mat, b.mat - a.mat, v.radius) \
                 <= 1.0 + DEFAULT_TOL.contraction_slack, (d, seed)
-            assert v.radius == proven_radius(a.mat, b.mat - a.mat)
+            # the disc of a's cached SVD, which is the SVD of the input
+            # before a rescale: a fresh SVD of a.mat moves the last digits
+            disc = segments._factored_disc(_factored(a), b.mat - a.mat, DEFAULT_TOL)
+            assert v.radius == segments._disc_radius(disc, DEFAULT_TOL)
+            assert v.radius == pytest.approx(proven_radius(a.mat, b.mat - a.mat), rel=1e-12)
 
     def test_leaking_norm_one_pair(self):
         # the direction leaks 6e-8 onto ker D_c; the sampled search saw a
