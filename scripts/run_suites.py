@@ -6,24 +6,11 @@ The --scale flag shrinks the case counts for a quick smoke pass
 """
 
 import argparse
+import inspect
 import sys
 import time
 
 from contraction_lab.suites import SUITES, run_suite
-
-FULL_COUNTS = {
-    "route-agreement": 1000,
-    "strict-part": 200,
-    "scalar-constant": 1,
-    "partial-isometry-parts": 200,
-    "commuting-triangulation": 300,
-    "quasi-normal-pipeline": 300,
-    "arc-connectivity": 200,
-    "schur-part-strictness": 100,
-    "defect-regularity": 500,
-    "kernel-soundness": 200,
-    "falsifier-consistency": 40,
-}
 
 
 def main() -> int:
@@ -38,7 +25,9 @@ def main() -> int:
     names = args.only or sorted(SUITES)
     overall = True
     for name in names:
-        cases = max(1, int(FULL_COUNTS.get(name, 100) * args.scale))
+        # the full count is the suite function's default
+        full = inspect.signature(SUITES[name]).parameters["cases"].default
+        cases = max(1, int(full * args.scale))
         started = time.perf_counter()
         report = run_suite(name, cases=cases, seed=args.seed)
         elapsed = time.perf_counter() - started

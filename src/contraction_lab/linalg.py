@@ -239,20 +239,6 @@ class Subspace:
         return self.dim == other.dim and self.contains(other, angle_tol) and \
             other.contains(self, angle_tol)
 
-    def intersect(self, other: "Subspace", angle_tol: float = ANGLE_TOL) -> "Subspace":
-        """Numerical intersection via principal vectors (sine criterion)."""
-        if self.ambient_dim != other.ambient_dim:
-            raise ShapeMismatchError("subspaces live in different ambient spaces")
-        if self.dim == 0 or other.dim == 0:
-            return Subspace._trusted(self.ambient_dim, np.zeros((self.ambient_dim, 0), complex))
-        r = other.basis - self.basis @ (self.basis.conj().T @ other.basis)
-        _, s, vh = np.linalg.svd(r, full_matrices=False)
-        cols = other.basis @ vh.conj().T[:, s <= angle_tol]
-        if cols.shape[1] == 0:
-            return Subspace._trusted(self.ambient_dim, cols)
-        q, _ = np.linalg.qr(cols)
-        return Subspace._trusted(self.ambient_dim, q)
-
 
 def range_of(m, tol: Tolerances = DEFAULT_TOL) -> Subspace:
     """Orthonormal basis of the numerical range (column space), from a thin SVD."""

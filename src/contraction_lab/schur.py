@@ -20,7 +20,7 @@ from typing import Optional
 
 import numpy as np
 
-from .contraction import Contraction, _factored, classify, defect_data
+from .contraction import Contraction, _factored, defect_data
 from .linalg import (
     DEFAULT_TOL,
     ShapeMismatchError,
@@ -37,6 +37,7 @@ from .segments import (  # noqa: F401
     LEAK_RTOL,
     _disc_radius,
     _factored_disc,
+    _kernel_leak,
     _whitened_disc,
     circle_max_norm,
     poly_norms,
@@ -45,8 +46,8 @@ from .segments import (  # noqa: F401
     unit_circle,
 )
 from .shmulyan import (  # noqa: F401
-    NotPartialIsometryError,
     _factor_dominates,
+    partial_isometry_part,
     shmulyan_equivalent,
 )
 
@@ -63,7 +64,6 @@ __all__ = [
     "segment_radius",
 ]
 
-ENDPOINT_RTOL = 1e-8
 # connect_arc scales V to norm 1 / (1 + MOBIUS_MARGIN): a gap of 6e-14 in I - V*V
 # over the rounding of its check, costing MOBIUS_MARGIN lambda0 / (1 - lambda0^2)
 MOBIUS_MARGIN = 3e-14
@@ -345,6 +345,15 @@ def kobayashi_upper_bound(t: Contraction, t_prime: Contraction,
 
 @dataclass(frozen=True)
 class SchurMemberVerdict:
+    """Verdict of :func:`schur_part_member`.
+
+    member    every coefficient passes the leak test and F0 passes the clamp
+    sup_norm  the certified sup-norm of F0
+    residual  the largest leak of a coefficient (c0 - w first) onto the
+              kernels N(D_w), N(D_{w*})
+    marginal  sup_norm within 1e-6 of 1
+    """
+
     member: bool
     sup_norm: float
     residual: float
@@ -356,30 +365,24 @@ def schur_part_member(w: Contraction, f: SchurPoly,
     """Membership of f in the Toeplitz-order part of the constant w.
 
     For a partial isometry w the part consists exactly of the functions
-    w + D_{w*} F0 D_w with F0 mapping defect space to defect space and
-    certified sup-norm strictly below one.  The residual measures how far
-    f strays from that shape; verdicts within 1e-6 of the unit boundary
-    are flagged marginal.
+    U + F0 in the defect chart of w (:func:`shmulyan.partial_isometry_part`),
+    F0 mapping defect space to defect space with sup-norm below one.  So
+    each coefficient, c0 - w first, must pass the leak test of the
+    Shmul'yan decision onto the chart's kernels, and F0, the Z blocks of
+    the coefficients, must have (1 - sup)(1 + sup) above psd_atol for its
+    certified sup-norm: the clamp of the defect roots, with which the
+    decision settles the constant case.  Verdicts within 1e-6 of the unit
+    boundary are flagged marginal.
     """
-    if "partial_isometry" not in classify(w, tol):
-        raise NotPartialIsometryError("constant symbol must be a partial isometry")
+    part = partial_isometry_part(w, tol)
     if f.shape != w.shape:
         raise ShapeMismatchError(f"shape mismatch {f.shape} vs {w.shape}")
-    dd = defect_data(w, tol)
-    d_in, d_out = dd.defect_space, dd.defect_space_star
-    residual = 0.0
-    f0_coeffs = []
-    for k, c in enumerate(f.coeffs):
-        base = c - w.mat if k == 0 else c
-        inner = compress(base, d_out, d_in)
-        back = d_out.basis @ inner @ d_in.basis.conj().T
-        residual = max(residual, op_norm(base - back))
-        f0_coeffs.append(inner)
-    if d_in.dim == 0 or d_out.dim == 0:
-        sup = 0.0
-    else:
-        sup = schur_poly(f0_coeffs, tol).sup_norm_estimate
-    member = residual <= ENDPOINT_RTOL and sup < 1.0
-    marginal = abs(sup - 1.0) <= 1e-6
+    leaks = [_kernel_leak(c - w.mat if k == 0 else c, part.range_in.basis, part.range_out.basis)
+             for k, c in enumerate(f.coeffs)]
+    residual = max(leak for leak, _ in leaks)
+    f0 = [compress(c, part.null_out, part.null_in) for c in f.coeffs]
+    sup = schur_poly(f0, tol).sup_norm_estimate
+    member = all(leak <= bound for leak, bound in leaks) and \
+        (1.0 - sup) * (1.0 + sup) > tol.psd_atol
     return SchurMemberVerdict(member=member, sup_norm=sup,
-                              residual=residual, marginal=marginal)
+                              residual=residual, marginal=abs(sup - 1.0) <= 1e-6)

@@ -37,7 +37,6 @@ from .linalg import (
     ShapeMismatchError,
     Subspace,
     Tolerances,
-    _rank,
     compress,
     herm,
     op_norm,
@@ -218,6 +217,13 @@ def shmulyan_equivalent(a: Contraction, b: Contraction,
 
 @dataclass(frozen=True)
 class Membership:
+    """Verdict of :attr:`PartDescription.membership_test` on a candidate c.
+
+    member    c and w are Shmul'yan equivalent
+    z_block   Z, the compression of c to the defect spaces of w
+    residual  the leak of c - w onto N(D_w) and N(D_{w*})
+    """
+
     member: bool
     z_block: Optional[np.ndarray]
     residual: float
@@ -225,47 +231,49 @@ class Membership:
 
 @dataclass(frozen=True)
 class PartDescription:
-    """Shmul'yan part of a partial isometry w = U + 0.
+    """Shmul'yan part of a partial isometry w = U + 0, in the defect chart
+    of w (:func:`up_decompose`).
 
     Members are exactly the contractions U + Z in the same bases with
-    ||Z|| < 1; membership agrees with the directed oracles.
+    ||Z|| < 1.  membership_test decides it as ``shmulyan_equivalent``
+    does: c - w must not leak onto N(D_w) and N(D_{w*}), and w - c not
+    onto N(D_c) and N(D_{c*}), which holds exactly when 1 - ||Z||^2 is
+    above the psd_atol clamp of the defect roots.
     """
 
     u_block: np.ndarray
-    range_in: Subspace    # R(w*)
-    null_in: Subspace     # N(w)
-    range_out: Subspace   # R(w)
-    null_out: Subspace    # N(w*)
+    # R(w*) and N(w) on exact partial isometries; classify also admits a
+    # singular value s = 1 - 1e-9, whose direction is in the defect space
+    range_in: Subspace    # N(D_w)
+    null_in: Subspace     # the defect space of w
+    range_out: Subspace   # N(D_{w*})
+    null_out: Subspace    # the defect space of w*
     membership_test: Callable[[Contraction], Membership]
 
 
 def partial_isometry_part(w: Contraction,
                           tol: Tolerances = DEFAULT_TOL) -> PartDescription:
+    """The part of w in the chart of ``up_decompose(w)``, for w that
+    classify calls a partial isometry (else NotPartialIsometryError).
+
+    membership_test(c) is the Shmul'yan equivalence decision of w and c,
+    the two leak tests, and reports the leak of c - w as its residual.
+    """
     if "partial_isometry" not in classify(w, tol):
         raise NotPartialIsometryError("operator is not a partial isometry")
-    # the rank cut, not the defect clamp: classify admits 1 - s^2 up to
-    # about PREDICATE_RTOL, above psd_atol
-    u, s, vh = _factored(w)
-    k = _rank(s, tol)
-    rows, cols = w.shape
-    range_in, null_in = (Subspace._trusted(cols, vh[:k].conj().T),
-                         Subspace._trusted(cols, vh[k:].conj().T))
-    range_out, null_out = Subspace._trusted(rows, u[:, :k]), Subspace._trusted(rows, u[:, k:])
-    u_block = compress(w.mat, range_out, range_in)
+    chart = up_decompose(w, tol)
+    (range_in, null_in), (range_out, null_out) = chart.basis_in, chart.basis_out
 
     def membership(c: Contraction) -> Membership:
         if c.shape != w.shape:
             raise ShapeMismatchError(f"shape mismatch {c.shape} vs {w.shape}")
-        u_c = compress(c.mat, range_out, range_in)
-        z = compress(c.mat, null_out, null_in)
-        off1 = compress(c.mat, range_out, null_in)
-        off2 = compress(c.mat, null_out, range_in)
-        residual = max(op_norm(u_c - u_block), op_norm(off1), op_norm(off2))
-        member = residual <= ROUTE_RTOL and op_norm(z) < 1.0 - tol.contraction_slack
-        return Membership(member=member, z_block=z, residual=residual)
+        leak, bound = _kernel_leak(c.mat - w.mat, range_in.basis, range_out.basis)
+        member = leak <= bound and _factor_dominates(w, c, tol)
+        return Membership(member=member, z_block=compress(c.mat, null_out, null_in),
+                          residual=leak)
 
     return PartDescription(
-        u_block=u_block,
+        u_block=chart.u_block,
         range_in=range_in, null_in=null_in,
         range_out=range_out, null_out=null_out,
         membership_test=membership,

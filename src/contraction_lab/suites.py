@@ -242,6 +242,12 @@ def partial_isometry_pairs(cases: int = 200, seed: int = 104,
         yield i, w, part, candidates
 
 
+def _other_partial_isometry(i: int, w: Contraction, part, tol: Tolerances) -> Contraction:
+    """The partial isometry of w's rank that criterion 4 tests against w's part."""
+    return generate(GenSpec(w.dim, "partial_isometry", seed=13 * i + 7,
+                            params={"rank": w.dim - part.null_in.dim}), tol)
+
+
 def run_partial_isometry_parts(cases: int = 200, seed: int = 104,
                                tol: Tolerances = DEFAULT_TOL) -> SuiteReport:
     """Parts of partial isometries: membership, factorization, Harnack agree.
@@ -281,8 +287,7 @@ def run_partial_isometry_parts(cases: int = 200, seed: int = 104,
                 failures.append(f"case {i} z={z_norm}: member is a partial isometry")
         if not part.membership_test(w).member:
             failures.append(f"case {i}: w rejected from its own part")
-        other = generate(GenSpec(w.dim, "partial_isometry", seed=13 * i + 7,
-                                 params={"rank": w.dim - part.null_in.dim}), tol)
+        other = _other_partial_isometry(i, w, part, tol)
         if op_norm(other.mat - w.mat) > 1e-6 and part.membership_test(other).member:
             failures.append(f"case {i}: another partial isometry passed")
     return SuiteReport("partial-isometry-parts", cases, failures)

@@ -149,6 +149,16 @@ class TestPartAndArc:
         assert code == 1
         assert report["verdict"]["member"] is False
 
+    def test_part_of_a_strict_partial_isometry(self, files):
+        # diag(1 - 1e-9, 0) passes both the partial-isometry and the strict
+        # test; its chart has no kernel, so the strict candidate is a member
+        w = write_matrix(files["tmp"] / "w.json", np.diag([1.0 - 1e-9, 0.0]))
+        c = write_matrix(files["tmp"] / "c.json", np.diag([0.5, 0.0]))
+        code, report = run_cli(["part", w, c])
+        assert code == 0
+        assert report["verdict"]["member"] is True
+        assert report["verdict"]["residual"] == 0.0
+
     def test_arc_connected_round_trips(self, files):
         code, report = run_cli(["arc", files["zero"], files["half"]])
         assert code == 0

@@ -153,13 +153,6 @@ class TestSubspace:
         rotated = range_of(cols @ rng_matrix(13, 3, 3))
         assert big.equals(rotated)
 
-    def test_intersection(self):
-        e12 = Subspace(3, np.eye(3, dtype=complex)[:, :2])
-        e23 = Subspace(3, np.eye(3, dtype=complex)[:, 1:])
-        inter = e12.intersect(e23)
-        assert inter.dim == 1
-        assert abs(inter.basis[1, 0]) > 0.999
-
 
 class TestJson:
     def test_round_trip(self):

@@ -20,6 +20,7 @@ from contraction_lab import defect_data, schur, shmulyan
 from contraction_lab.corpus import GenSpec, generate, random_unitary
 from contraction_lab.linalg import DEFAULT_TOL, Tolerances, op_norm
 from contraction_lab.segments import (
+    LEAK_RTOL,
     circle_max_norm,
     poly_norms,
     poly_value,
@@ -416,7 +417,7 @@ class TestMobiusArc:
             assert arc.sup_norm_estimate <= 1.0 + slack, (kind, d, seed)
             dense = mobius_samples(arc, lam).max()
             assert dense <= arc.sup_norm_estimate, (kind, d, seed)
-            assert max(cert.endpoint_residuals) <= schur.ENDPOINT_RTOL
+            assert max(cert.endpoint_residuals) <= LEAK_RTOL
             assert cert.kobayashi_bound == math.atanh(lam0.real)
             if kind == "eq-strict":
                 assert cert.kobayashi_bound == pytest.approx(mobius_distance(a, b), abs=1e-12)
@@ -509,7 +510,7 @@ class TestMobiusArc:
         result = connect_arc(a, b)
         assert result.status == "connected"
         residual = result.certificate.endpoint_residuals[1]
-        assert schur.ENDPOINT_RTOL < residual == pytest.approx(1.5e-8, rel=1e-6)
+        assert LEAK_RTOL < residual == pytest.approx(1.5e-8, rel=1e-6)
 
     def test_decision_skips_the_audit(self, monkeypatch):
         # the segment route's radius search is never run for an arc

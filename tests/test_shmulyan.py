@@ -9,15 +9,19 @@ from hypothesis import given, settings
 from contraction_lab import (
     Contraction,
     classify,
+    connect_arc,
     defect_data,
+    harnack_equivalence,
     make_contraction,
+    schur_part_member,
+    schur_poly,
     shmulyan_dominates,
     shmulyan_equivalent,
 )
 from contraction_lab.contraction import _factored
 from contraction_lab.corpus import GenSpec, generate, random_unitary
 from contraction_lab.harnack import NOT_DOMINATED, harnack_dominates
-from contraction_lab import segments, shmulyan
+from contraction_lab import segments, shmulyan, suites
 from contraction_lab.linalg import DEFAULT_TOL, Tolerances, op_norm, range_of
 from contraction_lab.segments import proven_radius
 from contraction_lab.shmulyan import (
@@ -219,6 +223,36 @@ class TestPartialIsometryPart:
                 w.mat + part.null_out.basis @ z @ part.null_in.basis.conj().T)
             assert part.membership_test(cand).member == \
                 shmulyan_equivalent(w, cand).equivalent == (z_norm < 1)
+
+    @pytest.mark.parametrize("w, c, member", [
+        pytest.param(np.diag([1.0, 0.0]),
+                     np.diag([1.0, math.sqrt(1.0 - k * DEFAULT_TOL.psd_atol)]), k > 1,
+                     id=f"gap-{k}-psd_atol") for k in (0.25, 0.5, 2, 4)] + [
+        pytest.param(np.diag([1.0 - 1e-9, 0.0]), np.diag([0.5, 0.0]), True,
+                     id="strict-partial-isometry")])
+    def test_one_answer_at_the_boundary(self, w, c, member):
+        # the part, the Schur-function part of the constant, both
+        # equivalences and the arc decide the ball's boundary alike
+        w, c = make_contraction(w), make_contraction(c)
+        answers = (partial_isometry_part(w).membership_test(c).member,
+                   schur_part_member(w, schur_poly([c.mat])).member,
+                   shmulyan_equivalent(w, c).equivalent,
+                   harnack_equivalence(w, c).status == "equivalent",
+                   connect_arc(w, c).status == "connected")
+        assert answers == (member,) * 5
+
+    def test_one_answer_on_criterion_4(self):
+        # the three candidates, w itself and another partial isometry of
+        # every criterion-4 case
+        seen = set()
+        for i, w, part, cands in suites.partial_isometry_pairs():
+            others = [w, suites._other_partial_isometry(i, w, part, DEFAULT_TOL)]
+            for c in [c for _, c in cands or ()] + others:
+                equivalent = shmulyan_equivalent(w, c).equivalent
+                assert part.membership_test(c).member == equivalent, i
+                assert schur_part_member(w, schur_poly([c.mat])).member == equivalent, i
+                seen.add(equivalent)
+        assert seen == {True, False}
 
     @pytest.mark.parametrize("d", [1, 4, 9])
     def test_subspaces_are_ranges_and_kernels(self, d):
