@@ -263,6 +263,7 @@ def _cmd_schur_member(args, tol) -> int:
         "sup_norm": verdict.sup_norm,
         "residual": verdict.residual,
         "marginal": verdict.marginal,
+        "sup_method": verdict.sup_method,
     }
     _emit(report, args, started)
     return EXIT_TRUE if verdict.member else EXIT_FALSE

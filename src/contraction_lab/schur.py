@@ -1,9 +1,12 @@
 """Schur-class matrix polynomials and the arc machinery.
 
 Polynomials F(lambda) = sum coeffs[k] lambda^k with contractive values on
-the disc are certified by ``schur_poly``: circle sampling plus a
-derivative (Lipschitz) error term on every grid arc, with best-first
-refinement of the worst arc, capped on degree 1 by the whitened
+the disc are certified by ``schur_poly``.  The isometric block of c0 is
+split off first when no coefficient leaks onto it (the defect chart of
+c0, ``_chart_split``), since its flat norm is where no grid can close.
+The rest is certified by circle sampling plus a derivative (Lipschitz)
+error term on every grid arc, with best-first refinement of the worst arc
+over the arcs that can reach the top, capped on degree 1 by the whitened
 numerical-radius bound of ``segments``.  Shmul'yan-equivalent contractions
 are joined by ``connect_arc``: one Moebius arc in the defect chart of one
 end, whose ball automorphism gives the exact Kobayashi distance of that
@@ -98,11 +101,61 @@ class SchurPoly:
 def _certified_sup(coeffs, tol: Tolerances):
     """Certified upper bound of sup_{|lam|=1} ||F(lam)||, with its method.
 
-    The grid bound of :func:`_grid_sup`, capped on degree 1 by the bound
-    of :func:`_whitened_sup`, method "whitened" when that cap wins.
+    When :func:`_chart_split` splits F into an isometric block of c0 and a
+    remainder G, the bound is max(top, sup ||G||) + charge, method "chart"
+    ("grid-budget" when the grid of G spent its budget).  Otherwise, and
+    for G, it is the grid bound of :func:`_grid_sup`, capped on degree 1 by
+    the bound of :func:`_whitened_sup`, method "whitened" when that cap wins.
     """
+    chart = _chart_split(coeffs, tol) if len(coeffs) > 1 and coeffs[0].size else None
+    if chart is None:
+        return _plain_sup(coeffs, tol)
+    rest, top, charge = chart
+    sup, method = _plain_sup(rest, tol, floor=top)
+    return max(top, sup) + charge, "grid-budget" if method == "grid-budget" else "chart"
+
+
+def _plain_sup(coeffs, tol: Tolerances, floor: float = 0.0):
+    """:func:`_grid_sup` with the cap of :func:`_whitened_sup` on degree 1."""
     cap = _whitened_sup(coeffs, tol) if len(coeffs) == 2 and coeffs[0].size else math.inf
-    return _grid_sup(coeffs, tol, cap)
+    return _grid_sup(coeffs, tol, cap, floor)
+
+
+def _chart_split(coeffs, tol: Tolerances):
+    """(G, top, charge) when F is an isometric block of c0 plus G, else None.
+
+    With c0 = U S V*, the pairs I with |1 - s^2| <= psd_atol (the clamp of
+    ``linalg._defect_roots``) give K_in = V_I and K_out = U_I, and top =
+    max s_I.  When every c_k, k >= 1, passes ``segments._kernel_leak`` onto
+    them, F = U (S_I (+) G) V* + E with G = R_out* F R_in on the complements
+    R (its constant term the exact diagonal of the other s), and the part of
+    c_k that E keeps, c_k K_in K_in* + K_out K_out* c_k R_in R_in*, has norm
+    at most 2 leak_k.  So sup ||F|| <= max(top, sup ||G||) + charge with
+    charge = sum_k 2 leak_k + ||c0 - U S V*||_F + 8 m eps sum_k ||c_k||_F,
+    the last term for the rounding of the bases and of G.  None when no
+    singular value of c0 is that close to 1 or a coefficient leaks.
+    """
+    c0 = coeffs[0]
+    u, s, vh = np.linalg.svd(c0)
+    flat = np.abs((1.0 - s) * (1.0 + s)) <= tol.psd_atol
+    if not flat.any():
+        return None
+    k_in, k_out = vh[:s.size][flat].conj().T, u[:, :s.size][:, flat]
+    leaks = [_kernel_leak(c, k_in, k_out) for c in coeffs[1:]]
+    if any(leak > bound for leak, bound in leaks):
+        return None
+    (m, n), k = c0.shape, s.size
+    rest_out = np.concatenate([~flat, np.ones(m - k, bool)])
+    rest_in = np.concatenate([~flat, np.ones(n - k, bool)])
+    r_out, r_in = u[:, rest_out], vh[rest_in].conj().T
+    kept = s[~flat]
+    g0 = np.zeros((r_out.shape[1], r_in.shape[1]), dtype=complex)
+    g0[np.arange(kept.size), np.arange(kept.size)] = kept
+    rest = [g0] + [r_out.conj().T @ c @ r_in for c in coeffs[1:]]
+    residual = np.linalg.norm(c0 - (u[:, :k] * s) @ vh[:k])
+    rounding = 8.0 * max(m, n) * np.finfo(float).eps * sum(np.linalg.norm(c) for c in coeffs)
+    charge = 2.0 * sum(leak for leak, _ in leaks) + float(residual) + float(rounding)
+    return rest, float(s[flat].max()), charge
 
 
 def _whitened_sup(coeffs, tol: Tolerances) -> float:
@@ -131,7 +184,7 @@ def _whitened_sup(coeffs, tol: Tolerances) -> float:
     return 1.0 + overshoot + 4.0 * leak / omega + (1.0 - 1.0 / omega) * op_norm(c1)
 
 
-def _grid_sup(coeffs, tol: Tolerances, cap: float = math.inf):
+def _grid_sup(coeffs, tol: Tolerances, cap: float = math.inf, floor: float = 0.0):
     """Certified upper bound of sup ||F|| from the circle grid.
 
     Each grid arc carries the bound max(end values) + min(L h/2, L2 h^2/8)
@@ -142,11 +195,15 @@ def _grid_sup(coeffs, tol: Tolerances, cap: float = math.inf):
     its upper half.  So the worst arc is bisected next and ties go to the
     oldest arc, the arc a linear scan for the first maximum of an
     insertion-ordered list picks: the bounds are the same floats, found at
-    O(log n) per split.  Refinement stops when min(top bound, cap) is
-    within SUP_GAP of the best observed value, method "grid", or after
-    SPLIT_BUDGET splits, leaving a slightly larger but still valid bound,
-    method "grid-budget".  ``cap`` is another proven bound: when it is below
-    the top grid bound it is returned instead, method "whitened", but never
+    O(log n) per split.  The grid bounds are computed in one numpy pass,
+    and only the arcs whose bound reaches the best sample enter the heap:
+    the top bound never falls below the best sample, so no other arc is
+    ever split or on top.  Refinement stops when min(top bound, cap) is
+    within SUP_GAP of the best observed value or of ``floor`` (a value the
+    caller takes the maximum with), method "grid", or after SPLIT_BUDGET
+    splits, leaving a slightly larger but still valid bound, method
+    "grid-budget".  ``cap`` is another proven bound: when it is below the
+    top grid bound it is returned instead, method "whitened", but never
     below the best sampled value.
     """
     if coeffs[0].size == 0:
@@ -157,9 +214,12 @@ def _grid_sup(coeffs, tol: Tolerances, cap: float = math.inf):
     lip = sum(k * op_norm(c) for k, c in enumerate(coeffs))
     lip2 = sum(k * k * op_norm(c) for k, c in enumerate(coeffs))
     theta, lam = unit_circle(samples)
-    theta = list(theta) + [2.0 * np.pi]
-    vals = list(poly_norms(coeffs, lam))
-    vals.append(vals[0])
+    theta = np.append(theta, 2.0 * np.pi)
+    vals = poly_norms(coeffs, lam)
+    vals = np.append(vals, vals[0])
+    h = np.diff(theta)
+    bounds = np.maximum(vals[:-1], vals[1:]) + np.minimum(0.5 * lip * h, 0.125 * lip2 * h * h)
+    best_val = float(vals.max())
 
     def arc(index, lo, hi, vlo, vhi):
         h = hi - lo
@@ -167,12 +227,13 @@ def _grid_sup(coeffs, tol: Tolerances, cap: float = math.inf):
         return (-bound, index, lo, hi, vlo, vhi)
 
     def closed(top, best):
-        return min(top, cap) - best <= SUP_GAP * max(1.0, best)
+        level = max(best, floor)
+        return min(top, cap) - level <= SUP_GAP * max(1.0, level)
 
-    arcs = [arc(i, theta[i], theta[i + 1], vals[i], vals[i + 1])
-            for i in range(samples)]
+    keep = np.flatnonzero(bounds >= best_val)
+    arcs = list(zip((-bounds[keep]).tolist(), keep.tolist(), theta[keep].tolist(),
+                    theta[keep + 1].tolist(), vals[keep].tolist(), vals[keep + 1].tolist()))
     heapq.heapify(arcs)
-    best_val = max(vals)
     for split in range(SPLIT_BUDGET):
         neg_bound, _, lo, hi, vlo, vhi = arcs[0]
         if closed(-neg_bound, best_val):
@@ -216,7 +277,7 @@ def segment_radius(a: Contraction, b: Contraction,
     return _disc_radius(_factored_disc(_factored(a), b.mat - a.mat, tol), tol)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class MobiusArc:
     """F(lam) = t + K_out (phi_{-Z}(lam V) - Z) K_in*, the arc of
     :func:`connect_arc` in the defect chart of t = U S V*.
@@ -261,7 +322,7 @@ def _chart_quotient(z, num, den, sign: float) -> np.ndarray:
     return np.linalg.solve(gram.T, num.T).T
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ArcCertificate:
     """The arcs (F, lambda) of connect_arc, one or none: F(0) and F(lambda) are the
     ends up to the residuals, and atanh |lambda| is the Kobayashi bound."""
@@ -271,7 +332,7 @@ class ArcCertificate:
     endpoint_residuals: tuple
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ArcResult:
     status: str  # "connected" | "not_equivalent" | "budget_exhausted"
     certificate: Optional[ArcCertificate]
@@ -343,7 +404,7 @@ def kobayashi_upper_bound(t: Contraction, t_prime: Contraction,
     return result.certificate.kobayashi_bound if result.status == "connected" else math.inf
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SchurMemberVerdict:
     """Verdict of :func:`schur_part_member`.
 
@@ -352,12 +413,15 @@ class SchurMemberVerdict:
     residual  the largest leak of a coefficient (c0 - w first) onto the
               kernels N(D_w), N(D_{w*})
     marginal  sup_norm within 1e-6 of 1
+    sup_method  the method of F0's certificate ("grid-budget" when its
+              grid spent the split budget)
     """
 
     member: bool
     sup_norm: float
     residual: float
     marginal: bool
+    sup_method: str
 
 
 def schur_part_member(w: Contraction, f: SchurPoly,
@@ -381,8 +445,8 @@ def schur_part_member(w: Contraction, f: SchurPoly,
              for k, c in enumerate(f.coeffs)]
     residual = max(leak for leak, _ in leaks)
     f0 = [compress(c, part.null_out, part.null_in) for c in f.coeffs]
-    sup = schur_poly(f0, tol).sup_norm_estimate
+    sup, method = _certified_sup(f0, tol)
     member = all(leak <= bound for leak, bound in leaks) and \
         (1.0 - sup) * (1.0 + sup) > tol.psd_atol
-    return SchurMemberVerdict(member=member, sup_norm=sup,
-                              residual=residual, marginal=abs(sup - 1.0) <= 1e-6)
+    return SchurMemberVerdict(member=member, sup_norm=sup, residual=residual,
+                              marginal=abs(sup - 1.0) <= 1e-6, sup_method=method)

@@ -2,7 +2,8 @@
 
 Every evaluation of a matrix polynomial F(lam) = sum coeffs[k] lam^k in
 the library runs here: ``poly_norms`` evaluates the norm at an array of
-points with one batched SVD, ``poly_value`` evaluates F at one point, and
+points with one batched SVD (one vector norm over the stack when F has a
+single row or column), ``poly_value`` evaluates F at one point, and
 ``unit_circle`` builds the equally spaced sampling grid.
 
 For contractions a, b the function eps -> ||(1-eps)a + eps b|| is
@@ -73,12 +74,15 @@ def _poly_stack(coeffs, points) -> np.ndarray:
 
 
 def _top_singular(stack) -> np.ndarray:
-    """The largest singular value of every matrix in a stack."""
+    """The largest singular value of every matrix in a stack; for a single
+    row or column it is the Euclidean norm, taken without an SVD."""
+    if min(stack.shape[-2:]) == 1:
+        return np.linalg.norm(stack, axis=(-2, -1))
     return np.linalg.svd(stack, compute_uv=False)[:, 0]
 
 
 def poly_norms(coeffs, points) -> np.ndarray:
-    """||F(p)|| for every p in ``points`` (batched SVD; 0 for empty F)."""
+    """||F(p)|| for every p in ``points`` (:func:`_top_singular`; 0 for empty F)."""
     if coeffs[0].size == 0:
         return np.zeros(points.shape)
     return _top_singular(_poly_stack(coeffs, points))

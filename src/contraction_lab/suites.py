@@ -532,8 +532,9 @@ def run_schur_part_strictness(cases: int = 100, seed: int = 108,
     """Strict unit-ball boundary for function-part membership.
 
     Symbol families rescaled to certified sup-norm 0.999 must be accepted,
-    1.001 rejected; the constant symbol always belongs; the scalar
-    identity function never belongs to the part of the zero operator.
+    1.001 rejected, and the lifted symbol's own certificate must call it
+    Schur class exactly at 0.999; the constant symbol always belongs; the
+    scalar identity function never belongs to the part of the zero operator.
     """
     rng = np.random.default_rng(seed)
     failures = []
@@ -561,10 +562,13 @@ def run_schur_part_strictness(cases: int = 100, seed: int = 108,
             if got.member != wanted:
                 failures.append(f"case {i} target {target}: member={got.member} "
                                 f"sup={got.sup_norm:.6f}")
+            if f.is_schur_class(tol) != wanted:
+                failures.append(f"case {i} target {target}: symbol sup "
+                                f"{f.sup_norm_estimate:.12f} ({f.method})")
         const = schur_part_member(w, schur_poly([w.mat], tol), tol)
         if not const.member:
             failures.append(f"case {i}: constant symbol rejected")
-    return SuiteReport("schur-part-strictness", 2 * cases + cases + 1, failures)
+    return SuiteReport("schur-part-strictness", 4 * cases + cases + 1, failures)
 
 
 def run_defect_regularity(cases: int = 500, seed: int = 109,

@@ -214,6 +214,7 @@ class TestSchurMember:
         code, report = run_cli(["schur-member", files["J"], str(symbol)])
         assert code == 0
         assert report["verdict"]["member"] is True
+        assert report["verdict"]["sup_method"] == "whitened"
 
     def test_identity_rejected(self, files, tmp_path):
         symbol = tmp_path / "ident.json"
@@ -222,6 +223,17 @@ class TestSchurMember:
         code, report = run_cli(["schur-member", files["zero"], str(symbol)])
         assert code == 1
         assert report["verdict"]["member"] is False
+
+    def test_spent_budget_is_reported(self, files, tmp_path):
+        # F0 = lam^2 diag(1, 0.5) in the part of the zero operator: its norm
+        # is flat at 1, and its grid spends the split budget
+        symbol = tmp_path / "flat.json"
+        coeffs = [matrix_to_json(np.zeros((2, 2)))] * 2 + [matrix_to_json(np.diag([1.0, 0.5]))]
+        symbol.write_text(json.dumps({"coeffs": coeffs}))
+        code, report = run_cli(["schur-member", files["zero2"], str(symbol)])
+        assert code == 1
+        assert report["verdict"]["sup_method"] == "grid-budget"
+        assert report["verdict"]["sup_norm"] > 1.0
 
 
 class TestGen:

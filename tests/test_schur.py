@@ -54,8 +54,11 @@ def rand_poly(seed, rows, cols, degree, scale=0.4):
 # 1 on the whole circle, every grid arc has the same bound, and no split
 # lowers the top bound, so refinement spends the whole split budget.
 FLAT_ARC = (np.diag([1.0, 0.0]).astype(complex), np.diag([0.0, 0.5]).astype(complex))
-# w + lam^2 Z: flat too, and of degree 2, so only the grid certifies it
+# w + lam^2 Z: flat too, and of degree 2, so the whitened bound does not apply
 FLAT_ARC2 = (FLAT_ARC[0], np.zeros((2, 2), dtype=complex), FLAT_ARC[1])
+# lam^2 diag(1, 0.5): flat, of degree 2 and with c0 = 0, so only the grid
+# certifies it
+FLAT_SQUARE = (np.zeros((2, 2), dtype=complex),) * 2 + (np.diag([1.0, 0.5]).astype(complex),)
 
 
 class TestSupNorm:
@@ -86,9 +89,10 @@ class TestSupNorm:
         assert f.sup_norm_estimate >= dense - 1e-12
 
     def test_spent_budget_is_labelled(self):
-        # the degree-2 flat-norm polynomial keeps a gap after SPLIT_BUDGET
-        # splits; a converged bound keeps the plain label
-        flat = schur_poly(FLAT_ARC2)
+        # lam^2 diag(1, 0.5) is flat on the circle and keeps a gap after
+        # SPLIT_BUDGET splits (c0 = 0 has no chart block); a converged bound
+        # keeps the plain label
+        flat = schur_poly(FLAT_SQUARE)
         assert flat.method == "grid-budget"
         assert flat.sup_norm_estimate - 1.0 > schur.SUP_GAP
         assert schur_poly([np.array([[0.3]]), np.array([[0.4]])]).method == "grid"
@@ -103,12 +107,15 @@ class TestSupNorm:
         assert schur_poly([0.6, 0.3], tol).is_schur_class(tol)
 
     def test_flat_affine_arc_is_whitened(self):
-        # the grid alone spends its budget on this arc and stays above 1;
-        # the whitened numerical radius proves sup = 1
-        flat = schur_poly(FLAT_ARC)
+        # lam U, U unitary: the grid alone spends its budget on this arc and
+        # stays above 1; the whitened numerical radius proves sup = 1, as it
+        # does for FLAT_ARC
+        coeffs = (np.zeros((3, 3), dtype=complex), random_unitary(np.random.default_rng(4), 3))
+        flat = schur_poly(coeffs)
         assert flat.method == "whitened"
         assert 1.0 <= flat.sup_norm_estimate <= 1.0 + 1e-12
-        assert schur._grid_sup(FLAT_ARC, DEFAULT_TOL)[0] - 1.0 > schur.SUP_GAP
+        assert schur._grid_sup(coeffs, DEFAULT_TOL)[0] - 1.0 > schur.SUP_GAP
+        assert 1.0 <= schur._whitened_sup(FLAT_ARC, DEFAULT_TOL) <= 1.0 + 1e-12
 
     @pytest.mark.parametrize("seed, norm", [(11, 0.3), (12, 0.7), (13, 0.95), (14, 1.0)])
     def test_whitened_bound_dominates_samples(self, seed, norm):
@@ -148,6 +155,105 @@ class TestSupNorm:
         assert math.isinf(schur._whitened_sup((1.01 * np.eye(2), c1), DEFAULT_TOL))
         # a unit center with a direction leaking onto its kernel
         assert math.isinf(schur._whitened_sup((np.eye(2, dtype=complex), c1), DEFAULT_TOL))
+
+
+def rotated_chart_poly(seed, rows, cols, flat, degree, g_scale, leak=0.0, top=1.0):
+    """U (top I_flat (+) G) V* + leak terms, U and V Haar unitaries.
+
+    G is a random polynomial with sum_k ||g_k|| = g_scale, so its sup is at
+    most g_scale; ``leak`` adds lam K_out E and lam E K_in* of norm ``leak``
+    on the isometric block's bases K (columns of U and V).
+    """
+    rng = np.random.default_rng(seed)
+    u, v = random_unitary(rng, rows), random_unitary(rng, cols)
+    raw = [rng_matrix(seed + 1 + k, rows - flat, cols - flat) for k in range(degree + 1)]
+    total = sum(op_norm(g) for g in raw)
+    coeffs = []
+    for k, g in enumerate(raw):
+        block = np.zeros((rows, cols), dtype=complex)
+        block[flat:, flat:] = g * (g_scale / total)
+        if k == 0:
+            block[np.arange(flat), np.arange(flat)] = top
+        coeffs.append(u @ block @ v.conj().T)
+    if leak:
+        e_out = rng_matrix(seed + 50, flat, cols)
+        e_in = rng_matrix(seed + 51, rows, flat)
+        coeffs[1] = coeffs[1] + leak * (u[:, :flat] @ (e_out / op_norm(e_out))
+                                        + (e_in / op_norm(e_in)) @ v[:, :flat].conj().T)
+    return coeffs
+
+
+class TestChartSplit:
+    """schur._certified_sup splits off the isometric block of c0 before the grid."""
+
+    @pytest.mark.parametrize("rows, cols, flat, degree", [
+        (3, 3, 1, 1), (4, 4, 2, 2), (5, 5, 1, 3), (3, 5, 1, 2), (5, 3, 2, 1), (4, 6, 1, 3),
+    ])
+    @pytest.mark.parametrize("g_scale", [0.9, 1.3])
+    def test_bound_dominates_dense_samples(self, rows, cols, flat, degree, g_scale):
+        coeffs = rotated_chart_poly(rows + 10 * cols + degree, rows, cols, flat, degree, g_scale)
+        f = schur_poly(coeffs)
+        assert f.method == "chart"
+        dense = circle_samples(f.coeffs, 16384).max()
+        assert dense <= f.sup_norm_estimate
+        if g_scale < 1.0:  # the flat block is the maximum
+            assert f.sup_norm_estimate <= 1.0 + 1e-12
+        else:  # within the grid's gap of the dense maximum
+            assert f.sup_norm_estimate <= dense * (1.0 + 1e-6)
+
+    def test_small_leak_is_charged(self):
+        # a 1e-10 leak onto the flat block lifts the circle above 1; the
+        # split charges it and the bound stays above the dense maximum
+        coeffs = (np.diag([1.0, 0.3]).astype(complex), np.diag([1e-10, 0.5]).astype(complex))
+        f = schur_poly(coeffs)
+        assert f.method == "chart"
+        dense = circle_samples(coeffs, 16384).max()
+        assert dense > 1.0 + 5e-11
+        assert dense <= f.sup_norm_estimate <= 1.0 + 3e-10
+        rotated = rotated_chart_poly(3, 4, 4, 2, 2, 0.8, leak=1e-10)
+        f = schur_poly(rotated)
+        assert f.method == "chart"
+        assert circle_samples(f.coeffs, 16384).max() <= f.sup_norm_estimate
+
+    def test_leak_above_the_threshold_takes_the_grid(self):
+        coeffs = rotated_chart_poly(4, 3, 3, 1, 2, 0.8, leak=1e-6)
+        assert schur._chart_split(coeffs, DEFAULT_TOL) is None
+        f = schur_poly(coeffs)
+        assert f.method in ("grid", "grid-budget")
+        assert circle_samples(f.coeffs, 16384).max() <= f.sup_norm_estimate
+
+    @pytest.mark.parametrize("delta, clamped", [
+        (-6e-11, False), (-5e-11, None), (-4e-11, True), (4e-11, True), (5e-11, None), (6e-11, False),
+    ])
+    def test_singular_value_near_one(self, delta, clamped):
+        # the split takes the pair exactly when linalg._defect_roots clamps
+        # its root, |1 - s^2| <= psd_atol; at s = 1 +- 5e-11 rounding decides
+        s = 1.0 + delta
+        if clamped is None:
+            clamped = abs((1.0 - s) * (1.0 + s)) <= DEFAULT_TOL.psd_atol
+        coeffs = (np.diag([s, 0.3]).astype(complex),
+                  np.diag([0.0, 0.4]).astype(complex), np.diag([0.0, 0.2]).astype(complex))
+        f = schur_poly(coeffs)
+        assert (f.method == "chart") == clamped
+        assert circle_samples(coeffs, 16384).max() <= f.sup_norm_estimate
+        if clamped:
+            assert f.sup_norm_estimate <= max(s, 1.0) + 1e-12
+
+    def test_flat_degree_two_arc(self):
+        # FLAT_ARC2 = w + lam^2 Z: the split leaves G = 0.5 lam^2, whose grid
+        # stops as soon as its bound is below the flat block's 1
+        f = schur_poly(FLAT_ARC2)
+        assert f.method == "chart"
+        assert 1.0 <= f.sup_norm_estimate <= 1.0 + 1e-12
+
+    def test_floor_stops_the_grid(self):
+        # G = 0.5 lam^2 spends the budget on its own; under a floor of 1 it
+        # stops at once, with the same valid bound of its grid
+        rest = (np.zeros((1, 1), dtype=complex),) * 2 + (np.full((1, 1), 0.5 + 0j),)
+        assert schur._grid_sup(rest, DEFAULT_TOL)[1] == "grid-budget"
+        bound, method = schur._grid_sup(rest, DEFAULT_TOL, floor=1.0)
+        assert method == "grid"
+        assert 0.5 <= bound < 1.0
 
 
 def circle_samples(coeffs, samples):
