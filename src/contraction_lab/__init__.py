@@ -68,7 +68,6 @@ from .schur import (
     segment_radius,
 )
 from .shmulyan import (
-    NotPartialIsometryError,
     NotQuasiIsometryError,
     ShmulyanVerdict,
     column_criterion,

@@ -332,7 +332,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("b")
     p.set_defaults(fn=_cmd_dominate)
 
-    p = sub.add_parser("part", help="membership in a partial isometry's part")
+    p = sub.add_parser("part", help="membership of a candidate in the part of a contraction W")
     p.add_argument("w")
     p.add_argument("candidate")
     p.set_defaults(fn=_cmd_part)
@@ -344,7 +344,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("schur-member",
                        help="membership of a polynomial symbol in the "
-                            "function part of a constant partial isometry")
+                            "function part of a constant contraction W")
     p.add_argument("w")
     p.add_argument("symbol")
     p.set_defaults(fn=_cmd_schur_member)

@@ -35,8 +35,8 @@ __all__ = [
 ]
 
 # Spectral-norm residual threshold, relative to max(1, ||T||^2), for the
-# defining identities of the classification predicates (polynomial of
-# degree <= 4 in a contraction).
+# defining identities of the quasi-normal and quasi-isometry predicates
+# (polynomials of degree <= 4 in a contraction).
 PREDICATE_RTOL = 1e-8
 # Cap on repeated squarings of a power iteration: effective power 2^60.
 MAX_DOUBLINGS = 60
@@ -56,13 +56,15 @@ class NotDecomposableError(ValueError):
 
 @dataclass(frozen=True)
 class DefectData:
-    """Defect operators, their pseudoinverses and the four canonical
-    subspaces of a contraction T = U S V*, all from that one SVD.
+    """The defect chart of a contraction T = U S V*, all from that one SVD.
 
     d_t, d_tstar        (I - T*T)^(1/2) = V r V* and (I - TT*)^(1/2) = U r U*
     defect_space(.star) closures of their ranges
     null_dt(.star)      their kernels (where T acts isometrically)
     d_t(star)_pinv      their Moore-Penrose inverses V r^+ V* and U r^+ U*
+    z, root_in,         the kept singular values and roots (``linalg._defect_roots``):
+    root_out            the diagonals of Z, D_Z and D_{Z*} in T = W (+) Z, W
+                        mapping null_dt unitarily onto null_dtstar
     """
 
     d_t: np.ndarray
@@ -73,6 +75,9 @@ class DefectData:
     null_dtstar: Subspace
     d_t_pinv: np.ndarray
     d_tstar_pinv: np.ndarray
+    z: np.ndarray
+    root_in: np.ndarray
+    root_out: np.ndarray
 
 
 class Contraction:
@@ -176,38 +181,25 @@ def defect_data(c: Contraction, tol: Tolerances = DEFAULT_TOL) -> DefectData:
     if cached is not None:
         return cached
     u, s, vh = _factored(c)
-    side_in, side_out = _defect_roots(s, tol, vh.shape[0], u.shape[0])
-    d_t, defect_space, null_dt, d_t_pinv = _defect_side(vh.conj().T, *side_in)
-    d_tstar, defect_space_star, null_dtstar, d_tstar_pinv = _defect_side(u, *side_out)
+    (r_in, keep_in), (r_out, keep_out) = _defect_roots(s, tol, vh.shape[0], u.shape[0])
+    d_t, defect_space, null_dt, d_t_pinv = _defect_side(vh.conj().T, r_in, keep_in)
+    d_tstar, defect_space_star, null_dtstar, d_tstar_pinv = _defect_side(u, r_out, keep_out)
     data = DefectData(d_t, d_tstar, defect_space, defect_space_star,
-                      null_dt, null_dtstar, d_t_pinv, d_tstar_pinv)
+                      null_dt, null_dtstar, d_t_pinv, d_tstar_pinv,
+                      s[keep_in[:s.size]], r_in[keep_in], r_out[keep_out])
     c._defect_cache[tol] = data
     return data
 
 
-def _isometry_residuals(c: Contraction) -> tuple:
-    """||T*T - I||, ||TT* - I|| and ||TT*T - T|| from the cached singular values.
-
-    With T = U S V*, they are max |1 - s^2| over each side's singular values
-    and max |s^3 - s|; a side longer than min(rows, cols) has singular
-    values 0, so its residual is at least 1.
-    """
-    rows, cols = c.shape
-    s = _factored(c)[1]
-    gap = float(np.abs(1.0 - s * s).max(initial=0.0))
-    return (max(gap, float(cols > s.size)), max(gap, float(rows > s.size)),
-            float(np.abs(s ** 3 - s).max(initial=0.0)))
-
-
 def classify(c: Contraction, tol: Tolerances = DEFAULT_TOL) -> frozenset:
-    """Predicates holding for c, each checked by its defining identity.
+    """Predicates holding for c.
 
-    Square-only predicates (quasi_normal, quasi_isometry, hyponormal) are
-    skipped for rectangular inputs.  In finite dimension several of these
-    collapse (pure = strict, quasi-normal = normal); the identities are
-    still evaluated directly so the oracles mirror the definitions, those
-    of the isometry, co-isometry and partial isometry through the singular
-    values (:func:`_isometry_residuals`).
+    isometry, coisometry (so unitary) and partial_isometry read the defect
+    chart T = W (+) Z of :func:`defect_data`, the chart of every part and
+    arc: no defect space on the right, none on the left, and Z = 0 up to
+    the rank cut (T is the W (+) 0 of its chart).  The others are checked
+    by their defining identities, the square-only ones (quasi_normal,
+    quasi_isometry, hyponormal) on square inputs only.
     """
     t = c.mat
     rows, cols = t.shape
@@ -215,19 +207,19 @@ def classify(c: Contraction, tol: Tolerances = DEFAULT_TOL) -> frozenset:
     s = _factored(c)[1]
     norm = float(s[0]) if s.size else 0.0
     bound = PREDICATE_RTOL * max(1.0, norm ** 2)
+    dd = defect_data(c, tol)
 
     def small(m) -> bool:
         return op_norm(m) <= bound
 
-    iso, coiso, partial = _isometry_residuals(c)
     out = set()
-    if iso <= bound:
+    if dd.defect_space.dim == 0:
         out.add("isometry")
-    if coiso <= bound:
+    if dd.defect_space_star.dim == 0:
         out.add("coisometry")
     if "isometry" in out and "coisometry" in out:
         out.add("unitary")
-    if partial <= bound:
+    if not np.any(dd.z > tol.rank_rtol * norm):
         out.add("partial_isometry")
     if rows == cols:
         if small(t @ (tt @ t) - (tt @ t) @ t):
@@ -238,7 +230,7 @@ def classify(c: Contraction, tol: Tolerances = DEFAULT_TOL) -> frozenset:
             out.add("hyponormal")
     if norm < 1.0 - tol.contraction_slack:
         out.add("strict")
-    if defect_data(c, tol).null_dt.dim == 0:
+    if dd.null_dt.dim == 0:
         out.add("pure")
     return frozenset(out)
 

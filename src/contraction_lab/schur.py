@@ -28,7 +28,6 @@ from .linalg import (
     DEFAULT_TOL,
     ShapeMismatchError,
     Tolerances,
-    _defect_roots,
     as_matrix,
     compress,
     op_norm,
@@ -380,20 +379,19 @@ def _chart_arc(t: Contraction, t_prime: Contraction, turned: bool, tol: Toleranc
     and 8 m eps for the rounding of the stored roots and bases."""
     u, s, vh = _factored(t)
     dd = defect_data(t, tol)
-    (r_in, keep_in), (r_out, keep_out) = _defect_roots(s, tol, vh.shape[0], u.shape[0])
-    z, root_in, root_out = s[keep_in[:s.size]], r_in[keep_in], r_out[keep_out]
     target = dd.defect_space_star.basis.conj().T @ t_prime.mat @ dd.defect_space.basis
     diff = target.copy()
-    diff[np.arange(z.size), np.arange(z.size)] -= z
-    x = _chart_quotient(z, diff, target, -1.0) * root_in / root_out[:, None]
+    diff[np.arange(dd.z.size), np.arange(dd.z.size)] -= dd.z
+    x = _chart_quotient(dd.z, diff, target, -1.0) * dd.root_in / dd.root_out[:, None]
     lam = op_norm(x) * (1.0 + MOBIUS_MARGIN)
     v = x / lam if lam else x
     checked = np.linalg.eigvalsh(np.eye(v.shape[1]) - v.conj().T @ v).min(initial=1.0) >= 0.0
     rounding = 8.0 * max(t.shape) * np.finfo(float).eps  # on a chart term of norm <= 2
     chart = np.linalg.norm(t.mat - (u[:, :s.size] * s) @ vh[:s.size])
     sup = 1.0 + max(0.0, float(s[0]) - 1.0) + float(chart) + rounding
-    return MobiusArc(t.mat, dd.defect_space.basis, dd.defect_space_star.basis, z, root_in,
-                     root_out, v, sup if checked else math.inf, pivot=lam if turned else None), lam
+    return MobiusArc(t.mat, dd.defect_space.basis, dd.defect_space_star.basis, dd.z,
+                     dd.root_in, dd.root_out, v, sup if checked else math.inf,
+                     pivot=lam if turned else None), lam
 
 
 def kobayashi_upper_bound(t: Contraction, t_prime: Contraction,
@@ -428,8 +426,10 @@ def schur_part_member(w: Contraction, f: SchurPoly,
                       tol: Tolerances = DEFAULT_TOL) -> SchurMemberVerdict:
     """Membership of f in the Toeplitz-order part of the constant w.
 
-    For a partial isometry w the part consists exactly of the functions
-    U + F0 in the defect chart of w (:func:`shmulyan.partial_isometry_part`),
+    w may be any contraction W (+) C in its defect chart: by ter Horst's
+    extension of the Shmul'yan order (J. Operator Th. 72, 2014) the part
+    of the constant w is that of the partial isometry W (+) 0, the
+    functions W + F0 in the chart of :func:`shmulyan.partial_isometry_part`,
     F0 mapping defect space to defect space with sup-norm below one.  So
     each coefficient, c0 - w first, must pass the leak test of the
     Shmul'yan decision onto the chart's kernels, and F0, the Z blocks of

@@ -8,8 +8,8 @@ factorization I - b*a = D_a Y D_a, and the segment criterion (some disc
 is segments.proven_radius, from the dominator's cached SVD).  X exists
 exactly when b - a vanishes on N(D_a) and (b - a)* on N(D_{a*}): the
 decision is the two-sided segments._kernel_leak.  On top
-of the directed oracle sit the structured criteria for partial isometries,
-quasi-isometries, column splits, and pure corners.
+of the directed oracle sit the part of any contraction and the structured
+criteria for quasi-isometries, column splits, and pure corners.
 """
 
 from __future__ import annotations
@@ -52,7 +52,6 @@ __all__ = [
     "ColumnCriterion",
     "IncompatibleSplitsError",
     "Membership",
-    "NotPartialIsometryError",
     "NotQuasiIsometryError",
     "PartDescription",
     "ShmulyanEquivalence",
@@ -65,10 +64,6 @@ __all__ = [
     "shmulyan_dominates",
     "shmulyan_equivalent",
 ]
-
-class NotPartialIsometryError(ValueError):
-    """Operator fails the defining identity T T* T = T."""
-
 
 class NotQuasiIsometryError(ValueError):
     """Operator fails the defining identity T*T = T*^2 T^2."""
@@ -231,20 +226,18 @@ class Membership:
 
 @dataclass(frozen=True)
 class PartDescription:
-    """Shmul'yan part of a partial isometry w = U + 0, in the defect chart
-    of w (:func:`up_decompose`).
+    """Shmul'yan part of a contraction w = W (+) C, in the defect chart of
+    w (:func:`up_decompose`): the part of the partial isometry W (+) 0.
 
-    Members are exactly the contractions U + Z in the same bases with
+    Members are exactly the contractions W + Z in the same bases with
     ||Z|| < 1.  membership_test decides it as ``shmulyan_equivalent``
     does: c - w must not leak onto N(D_w) and N(D_{w*}), and w - c not
     onto N(D_c) and N(D_{c*}), which holds exactly when 1 - ||Z||^2 is
     above the psd_atol clamp of the defect roots.
     """
 
-    u_block: np.ndarray
-    # R(w*) and N(w) on exact partial isometries; classify also admits a
-    # singular value s = 1 - 1e-9, whose direction is in the defect space
-    range_in: Subspace    # N(D_w)
+    u_block: np.ndarray   # W
+    range_in: Subspace    # N(D_w); R(w*) when w is a partial isometry
     null_in: Subspace     # the defect space of w
     range_out: Subspace   # N(D_{w*})
     null_out: Subspace    # the defect space of w*
@@ -253,14 +246,12 @@ class PartDescription:
 
 def partial_isometry_part(w: Contraction,
                           tol: Tolerances = DEFAULT_TOL) -> PartDescription:
-    """The part of w in the chart of ``up_decompose(w)``, for w that
-    classify calls a partial isometry (else NotPartialIsometryError).
+    """The part of w, which is that of the partial isometry W (+) 0 of the
+    chart of ``up_decompose(w)`` (whose NotDecomposableError it passes on).
 
     membership_test(c) is the Shmul'yan equivalence decision of w and c,
     the two leak tests, and reports the leak of c - w as its residual.
     """
-    if "partial_isometry" not in classify(w, tol):
-        raise NotPartialIsometryError("operator is not a partial isometry")
     chart = up_decompose(w, tol)
     (range_in, null_in), (range_out, null_out) = chart.basis_in, chart.basis_out
 

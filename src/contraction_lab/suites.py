@@ -252,12 +252,12 @@ def run_partial_isometry_parts(cases: int = 200, seed: int = 104,
                                tol: Tolerances = DEFAULT_TOL) -> SuiteReport:
     """Parts of partial isometries: membership, factorization, Harnack agree.
 
-    Members are U + Z with ||Z|| < 1 and are Harnack equivalent to w.  At
-    ||Z|| = 1 the candidate must be rejected by the membership test and
-    the Shmul'yan oracle; it never dominates w (a kernel escape), and w
-    dominates it exactly when it has no eigenvalue on the unit circle
-    (else a Fejer witness refutes).  No partial isometry besides w itself
-    may pass.
+    Members are U + Z with ||Z|| < 1, are Harnack equivalent to w and are
+    joined to w by a certified arc.  At ||Z|| = 1 the candidate must be
+    rejected by the membership test and by connect_arc as not equivalent;
+    it never dominates w (a kernel escape), and w dominates it exactly when
+    it has no eigenvalue on the unit circle (else a Fejer witness refutes).
+    No partial isometry besides w itself may pass.
     """
     failures = []
     for i, w, part, candidates in partial_isometry_pairs(cases, seed, tol):
@@ -267,7 +267,7 @@ def run_partial_isometry_parts(cases: int = 200, seed: int = 104,
         for z_norm, cand in candidates:
             wanted = z_norm < 1.0
             mem = part.membership_test(cand)
-            equiv = shmulyan_equivalent(w, cand, tol)
+            arc = connect_arc(w, cand, tol)
             fwd = harnack_dominates(w, cand, tol)
             bwd = harnack_dominates(cand, w, tol)
             _audit(fwd, failures, f"part case {i} z={z_norm} fwd")
@@ -277,8 +277,10 @@ def run_partial_isometry_parts(cases: int = 200, seed: int = 104,
                 (NOT_DOMINATED if on_circle else DOMINATED, NOT_DOMINATED)
             if mem.member != wanted:
                 failures.append(f"case {i} z={z_norm}: membership {mem.member}")
-            if equiv.equivalent != wanted:
-                failures.append(f"case {i} z={z_norm}: shmulyan {equiv.equivalent}")
+            if arc.status != ("connected" if wanted else "not_equivalent"):
+                failures.append(f"case {i} z={z_norm}: arc {arc.status}")
+            elif wanted:
+                _check_arc(arc.certificate, failures, f"case {i} z={z_norm}", tol)
             if (fwd.status, bwd.status) != expected:
                 failures.append(
                     f"case {i} z={z_norm}: harnack ({fwd.status}, {bwd.status})")
@@ -498,6 +500,20 @@ def arc_connectivity_pairs(cases: int = 200, seed: int = 107, tol: Tolerances = 
         yield (i, False) + _inequivalent_pair(rng, max(int(rng.integers(1, 5)), 2), 29 * i, tol)
 
 
+def _check_arc(cert, failures: list, label: str, tol: Tolerances):
+    """A connecting certificate has a finite bound, arcs of certified sup
+    within 1 + slack and endpoint residuals within BLOCK_RTOL."""
+    if not math.isfinite(cert.kobayashi_bound):
+        failures.append(f"{label}: infinite bound")
+    for arc, _lam in cert.arcs:
+        if arc.sup_norm_estimate > 1.0 + tol.contraction_slack:
+            failures.append(f"{label}: certified sup "
+                            f"{arc.sup_norm_estimate:.12f} above 1 + slack")
+    if any(r > BLOCK_RTOL for r in cert.endpoint_residuals):
+        failures.append(f"{label}: endpoint residuals "
+                        f"{max(cert.endpoint_residuals):.2e}")
+
+
 def run_arc_connectivity(cases: int = 200, seed: int = 107,
                          tol: Tolerances = DEFAULT_TOL) -> SuiteReport:
     """Arcs exist exactly on Shmul'yan-equivalent pairs, with sound bounds."""
@@ -510,16 +526,7 @@ def run_arc_connectivity(cases: int = 200, seed: int = 107,
             failures.append(f"{'' if equivalent else 'in'}equivalent case {i}: {result.status}")
         if not equivalent or result.status != "connected":
             continue
-        cert = result.certificate
-        if not math.isfinite(cert.kobayashi_bound):
-            failures.append(f"equivalent case {i}: infinite bound")
-        for arc, _lam in cert.arcs:
-            if arc.sup_norm_estimate > 1.0 + tol.contraction_slack:
-                failures.append(f"equivalent case {i}: certified sup "
-                                f"{arc.sup_norm_estimate:.12f} above 1 + slack")
-        if any(r > BLOCK_RTOL for r in cert.endpoint_residuals):
-            failures.append(f"equivalent case {i}: endpoint residuals "
-                            f"{max(cert.endpoint_residuals):.2e}")
+        _check_arc(result.certificate, failures, f"equivalent case {i}", tol)
     scalar = connect_arc(make_contraction([[0.0]], tol), make_contraction([[0.5]], tol), tol)
     if scalar.status != "connected" or scalar.certificate.kobayashi_bound > math.atanh(0.5) + 1e-6:
         failures.append(f"scalar pair bound "
@@ -571,12 +578,10 @@ def run_schur_part_strictness(cases: int = 100, seed: int = 108,
     return SuiteReport("schur-part-strictness", 4 * cases + cases + 1, failures)
 
 
-def run_defect_regularity(cases: int = 500, seed: int = 109,
-                          tol: Tolerances = DEFAULT_TOL) -> SuiteReport:
-    """Powers of T*T meet the defect-kernel projection; the partial
-    isometry split of any matrix contraction stays in its part."""
+def defect_regularity_draws(cases: int = 500, seed: int = 109,
+                            tol: Tolerances = DEFAULT_TOL):
+    """Criterion-9 cases (i, kind, t)."""
     rng = np.random.default_rng(seed)
-    failures = []
     kinds = ["generic", "strict", "direct_sum_U_plus_Q", "partial_isometry",
              "normal", "nilpotent_shift", "unitary"]
     for i in range(cases):
@@ -590,10 +595,18 @@ def run_defect_regularity(cases: int = 500, seed: int = 109,
                       "norm_bound": 0.9}
         if kind == "nilpotent_shift":
             params = {"lam": float(rng.uniform(0.0, 1.0))}
-        t = generate(GenSpec(d, kind, seed=37 * i, params=params), tol)
+        yield i, kind, generate(GenSpec(d, kind, seed=37 * i, params=params), tol)
+
+
+def run_defect_regularity(cases: int = 500, seed: int = 109,
+                          tol: Tolerances = DEFAULT_TOL) -> SuiteReport:
+    """Powers of T*T meet the defect-kernel projection; the partial
+    isometry split of any matrix contraction stays in its part."""
+    failures = []
+    for i, kind, t in defect_regularity_draws(cases, seed, tol):
         limit = ttstar_power_limit(t, tol)
         if not limit.converged or limit.residual >= tol.conv_tol:
-            failures.append(f"case {i} ({kind}, dim {d}): power residual "
+            failures.append(f"case {i} ({kind}, dim {t.dim}): power residual "
                             f"{limit.residual:.2e} after {limit.power}")
         w = nearest_part_partial_isometry(t, tol)
         if "partial_isometry" not in classify(w, tol):

@@ -150,14 +150,24 @@ class TestPartAndArc:
         assert report["verdict"]["member"] is False
 
     def test_part_of_a_strict_partial_isometry(self, files):
-        # diag(1 - 1e-9, 0) passes both the partial-isometry and the strict
-        # test; its chart has no kernel, so the strict candidate is a member
+        # 1 - 1e-9 is outside the clamp, so the chart of diag(1 - 1e-9, 0)
+        # has no kernel and the strict candidate is a member
         w = write_matrix(files["tmp"] / "w.json", np.diag([1.0 - 1e-9, 0.0]))
         c = write_matrix(files["tmp"] / "c.json", np.diag([0.5, 0.0]))
         code, report = run_cli(["part", w, c])
         assert code == 0
         assert report["verdict"]["member"] is True
         assert report["verdict"]["residual"] == 0.0
+
+    def test_part_of_any_contraction(self, files):
+        w = write_matrix(files["tmp"] / "w.json", np.diag([0.5, 0.0]))
+        c = write_matrix(files["tmp"] / "c.json", np.diag([0.9, 0.3]))
+        code, report = run_cli(["part", w, c])
+        assert code == 0
+        assert report["verdict"]["member"] is True
+        code, report = run_cli(["part", w, files["flip"]])
+        assert code == 1
+        assert report["verdict"]["member"] is False
 
     def test_arc_connected_round_trips(self, files):
         code, report = run_cli(["arc", files["zero"], files["half"]])
@@ -223,6 +233,17 @@ class TestSchurMember:
         code, report = run_cli(["schur-member", files["zero"], str(symbol)])
         assert code == 1
         assert report["verdict"]["member"] is False
+
+    def test_part_of_any_constant(self, files, tmp_path):
+        w = write_matrix(tmp_path / "w.json", np.diag([0.5, 0.0]))
+        for scale, code_wanted in ((0.5, 0), (1.0, 1)):
+            symbol = tmp_path / "F.json"
+            coeffs = [matrix_to_json(np.diag([0.5, 0.0])),
+                      matrix_to_json(scale * np.eye(2) - np.diag([0.5, 0.0]))]
+            symbol.write_text(json.dumps({"coeffs": coeffs}))
+            code, report = run_cli(["schur-member", w, str(symbol)])
+            assert code == code_wanted
+            assert report["verdict"]["member"] is (code_wanted == 0)
 
     def test_spent_budget_is_reported(self, files, tmp_path):
         # F0 = lam^2 diag(1, 0.5) in the part of the zero operator: its norm

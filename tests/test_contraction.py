@@ -18,14 +18,15 @@ from contraction_lab import (
 )
 from contraction_lab import contraction, schur, segments, shmulyan
 from contraction_lab.asymptotics import asymptotic_limit
-from contraction_lab.contraction import PREDICATE_RTOL, _isometry_residuals
+from contraction_lab.contraction import PREDICATE_RTOL
 from contraction_lab.harnack import harnack_equivalence
-from contraction_lab.corpus import GenSpec, generate
+from contraction_lab.corpus import KINDS, GenSpec, generate
 from contraction_lab.linalg import (
     DEFAULT_TOL,
     NotPSDError,
     Subspace,
     Tolerances,
+    compress,
     op_norm,
     range_of,
 )
@@ -122,6 +123,21 @@ class TestDefectDataReference:
             assert space.equals(r_space) and null.equals(r_null)
             assert op_norm(root - r_root) <= 1e-12
             assert op_norm(inv - r_inv) <= 1e-9 * op_norm(r_inv)
+
+    @pytest.mark.parametrize("t, tol", [pytest.param(t, tol, id=name)
+                                        for name, t, tol in reference_cases()])
+    def test_chart_diagonals(self, t, tol):
+        # z, root_in and root_out are the diagonals of Z, D_Z and D_{Z*},
+        # the compressions of T and of the reference defect operators
+        dd = defect_data(Contraction(t), tol)
+        (r_dt, _, _, _), (r_dtstar, _, _, _) = reference_defect_data(t, tol)
+        z = compress(t, dd.defect_space_star, dd.defect_space)
+        want = np.zeros(z.shape)
+        want[np.arange(dd.z.size), np.arange(dd.z.size)] = dd.z
+        assert op_norm(z - want) <= 1e-12
+        for r_root, space, root in ((r_dt, dd.defect_space, dd.root_in),
+                                    (r_dtstar, dd.defect_space_star, dd.root_out)):
+            assert op_norm(compress(r_root, space, space) - np.diag(root)) <= 1e-12
 
     def test_clamp_and_rank_cut(self):
         atol = DEFAULT_TOL.psd_atol
@@ -274,9 +290,8 @@ class TestTrustedBases:
         dd = defect_data(c, tol)
         out = [dd.defect_space, dd.null_dt, dd.defect_space_star, dd.null_dtstar,
                range_of(c.mat, tol), range_of(c.mat.conj().T, tol)]
-        if "partial_isometry" in classify(c, tol):
-            part = shmulyan.partial_isometry_part(c, tol)
-            out += [part.range_in, part.null_in, part.range_out, part.null_out]
+        part = shmulyan.partial_isometry_part(c, tol)
+        out += [part.range_in, part.null_in, part.range_out, part.null_out]
         if c.is_square:
             lim = asymptotic_limit(c, tol)
             out += [lim.null_s, lim.fix_s]
@@ -302,17 +317,70 @@ def reference_isometry_residuals(t):
             op_norm(t @ tt @ t - t))
 
 
+def chart_labels(c, tol):
+    """The isometric labels of the defect chart T = W (+) Z: no defect space
+    on either side, and Z = 0 up to the rank cut."""
+    dd = defect_data(c, tol)
+    z = compress(c.mat, dd.defect_space_star, dd.defect_space)
+    out = {"isometry"} if dd.defect_space.dim == 0 else set()
+    if dd.defect_space_star.dim == 0:
+        out.add("coisometry")
+    if out == {"isometry", "coisometry"}:
+        out.add("unitary")
+    if op_norm(z) <= tol.rank_rtol * op_norm(c.mat):
+        out.add("partial_isometry")
+    return out
+
+
+def in_band(t, tol):
+    """Whether a singular value sits where the chart cut and the residual
+    cut at PREDICATE_RTOL can differ: 1 - s^2 in (psd_atol, bound], or a
+    partial-isometry residual s |1 - s^2| <= bound with s above the rank cut."""
+    s = np.linalg.svd(t, compute_uv=False)
+    if s.size == 0:
+        return False
+    gap = 1.0 - s * s
+    bound = PREDICATE_RTOL * max(1.0, s[0] ** 2)
+    return bool(np.any((gap > tol.psd_atol) & (gap <= bound)) or
+                np.any((s > tol.rank_rtol * s[0]) & (gap > tol.psd_atol) & (s * gap <= bound)))
+
+
 class TestClassify:
+    LABELS = {"isometry", "coisometry", "unitary", "partial_isometry"}
+
     @pytest.mark.parametrize("t, tol", [pytest.param(t, tol, id=name)
                                         for name, t, tol in reference_cases()])
-    def test_residuals_from_singular_values(self, t, tol):
+    def test_labels_read_the_chart(self, t, tol):
         c = Contraction(t)
-        got = _isometry_residuals(c)
-        ref = reference_isometry_residuals(t)
-        assert np.allclose(got, ref, rtol=0.0, atol=1e-13)
-        names = ("isometry", "coisometry", "partial_isometry")
-        bound = PREDICATE_RTOL * max(1.0, op_norm(t) ** 2)
-        assert {n for n, r in zip(names, ref) if r <= bound} == set(names) & classify(c, tol)
+        got = self.LABELS & classify(c, tol)
+        assert got == chart_labels(c, tol)
+        if not in_band(t, tol):
+            ref = reference_isometry_residuals(t)
+            bound = PREDICATE_RTOL * max(1.0, op_norm(t) ** 2)
+            names = ("isometry", "coisometry", "partial_isometry")
+            want = {n for n, r in zip(names, ref) if r <= bound}
+            if {"isometry", "coisometry"} <= want:
+                want.add("unitary")
+            assert got == want
+
+    @pytest.mark.parametrize("diag", [[1.0 - 1e-9, 0.0], [1.0, 5e-9]])
+    def test_one_cut(self, diag):
+        # both pass ||TT*T - T|| <= 1e-8, but 1 - 1e-9 is outside the clamp
+        # and 5e-9 above the rank cut, so the chart has a Z block
+        assert "partial_isometry" not in classify(make_contraction(np.diag(diag)))
+
+    def test_partial_isometry_is_its_chart_part(self):
+        seen = 0
+        for kind in KINDS:
+            for d in (1, 2, 4, 8):
+                for seed in range(3):
+                    made = generate(GenSpec(dim=d, kind=kind, seed=seed))
+                    for c in made if isinstance(made, tuple) else (made,):
+                        if "partial_isometry" in classify(c):
+                            w = nearest_part_partial_isometry(c)
+                            assert op_norm(c.mat - w.mat) <= 1e-12, (kind, d, seed)
+                            seen += 1
+        assert seen > 20
 
     def test_nilpotent_flags(self):
         flags = classify(J)

@@ -13,6 +13,7 @@ from contraction_lab import (
     defect_data,
     harnack_equivalence,
     make_contraction,
+    nearest_part_partial_isometry,
     schur_part_member,
     schur_poly,
     shmulyan_dominates,
@@ -26,7 +27,6 @@ from contraction_lab.linalg import DEFAULT_TOL, Tolerances, op_norm, range_of
 from contraction_lab.segments import proven_radius
 from contraction_lab.shmulyan import (
     IncompatibleSplitsError,
-    NotPartialIsometryError,
     NotQuasiIsometryError,
     column_criterion,
     corner_norm_criterion,
@@ -207,9 +207,13 @@ class TestPartialIsometryPart:
         part = partial_isometry_part(J)
         assert not part.membership_test(make_contraction([[0, 1], [1, 0]])).member
 
-    def test_rejects_non_partial_isometry(self):
-        with pytest.raises(NotPartialIsometryError):
-            partial_isometry_part(make_contraction(np.diag([0.5, 0.5])))
+    def test_part_of_a_strict_contraction_is_the_ball(self):
+        part = partial_isometry_part(make_contraction(np.diag([0.5, 0.5])))
+        assert part.range_in.dim == 0
+        assert part.membership_test(make_contraction(np.zeros((2, 2)))).member
+        assert part.membership_test(make_contraction(np.diag([0.9, 0.1]))).member
+        assert not part.membership_test(make_contraction(random_unitary(
+            np.random.default_rng(3), 2))).member
 
     def test_agrees_with_equivalence_oracle(self):
         rng = np.random.default_rng(7)
@@ -229,7 +233,7 @@ class TestPartialIsometryPart:
                      np.diag([1.0, math.sqrt(1.0 - k * DEFAULT_TOL.psd_atol)]), k > 1,
                      id=f"gap-{k}-psd_atol") for k in (0.25, 0.5, 2, 4)] + [
         pytest.param(np.diag([1.0 - 1e-9, 0.0]), np.diag([0.5, 0.0]), True,
-                     id="strict-partial-isometry")])
+                     id="strict-near-isometric")])
     def test_one_answer_at_the_boundary(self, w, c, member):
         # the part, the Schur-function part of the constant, both
         # equivalences and the arc decide the ball's boundary alike
@@ -253,6 +257,22 @@ class TestPartialIsometryPart:
                 assert schur_part_member(w, schur_poly([c.mat])).member == equivalent, i
                 seen.add(equivalent)
         assert seen == {True, False}
+
+    def test_part_of_the_nearest_partial_isometry(self):
+        # on the criterion-4 and criterion-9 draws, c and the W (+) 0 of its
+        # chart have one part: the same subspaces and the same answers
+        draws = []
+        for _, w, _, cands in suites.partial_isometry_pairs():
+            others = [c for _, c in cands or ()]
+            draws += [(c, others) for c in [w] + others]
+        draws += [(t, []) for _, _, t in suites.defect_regularity_draws()]
+        for c, others in draws:
+            w = nearest_part_partial_isometry(c)
+            part, part_w = partial_isometry_part(c), partial_isometry_part(w)
+            for name in ("range_in", "null_in", "range_out", "null_out"):
+                assert getattr(part, name).equals(getattr(part_w, name))
+            for x in [c, w] + others:
+                assert part.membership_test(x).member == part_w.membership_test(x).member
 
     @pytest.mark.parametrize("d", [1, 4, 9])
     def test_subspaces_are_ranges_and_kernels(self, d):
