@@ -20,13 +20,11 @@ from .contraction import (
     Contraction,
     DefectData,
     NotAContractionError,
-    NotDecomposableError,
     classify,
     defect_data,
     make_contraction,
     nearest_part_partial_isometry,
     ttstar_power_limit,
-    up_decompose,
 )
 from .corpus import GenSpec, InvalidSpecError, generate
 from .harnack import (
@@ -62,10 +60,8 @@ from .schur import (
     MobiusArc,
     SchurPoly,
     connect_arc,
-    kobayashi_upper_bound,
     schur_part_member,
     schur_poly,
-    segment_radius,
 )
 from .shmulyan import (
     NotQuasiIsometryError,

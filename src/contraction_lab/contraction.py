@@ -1,4 +1,4 @@
-"""Validated contractions, defect operators, and the unitary/pure split."""
+"""Validated contractions, defect operators, and the defect chart T = W (+) Z."""
 
 from __future__ import annotations
 
@@ -14,29 +14,24 @@ from .linalg import (
     _defect_roots,
     as_matrix,
     compress,
-    herm,
     op_norm,
-    psd_order_leq,
 )
 
 __all__ = [
     "Contraction",
     "DefectData",
     "NotAContractionError",
-    "NotDecomposableError",
     "PowerLimit",
-    "UPDecomposition",
     "classify",
     "defect_data",
     "make_contraction",
     "nearest_part_partial_isometry",
     "ttstar_power_limit",
-    "up_decompose",
 ]
 
 # Spectral-norm residual threshold, relative to max(1, ||T||^2), for the
-# defining identities of the quasi-normal and quasi-isometry predicates
-# (polynomials of degree <= 4 in a contraction).
+# commutator T*T - TT* of the normal-class labels and the quasi-isometry
+# identity (polynomials of degree <= 4 in a contraction).
 PREDICATE_RTOL = 1e-8
 # Cap on repeated squarings of a power iteration: effective power 2^60.
 MAX_DOUBLINGS = 60
@@ -50,10 +45,6 @@ class NotAContractionError(ValueError):
         self.norm = norm
 
 
-class NotDecomposableError(ValueError):
-    """The defect kernels do not reduce the operator within tolerance."""
-
-
 @dataclass(frozen=True)
 class DefectData:
     """The defect chart of a contraction T = U S V*, all from that one SVD.
@@ -63,8 +54,12 @@ class DefectData:
     null_dt(.star)      their kernels (where T acts isometrically)
     d_t(star)_pinv      their Moore-Penrose inverses V r^+ V* and U r^+ U*
     z, root_in,         the kept singular values and roots (``linalg._defect_roots``):
-    root_out            the diagonals of Z, D_Z and D_{Z*} in T = W (+) Z, W
-                        mapping null_dt unitarily onto null_dtstar
+    root_out            the diagonals of Z, D_Z and D_{Z*} in T = W (+) Z
+
+    One rank cut serves both sides, so the kernels have one dimension and
+    W = compress(T, null_dtstar, null_dt) is the diagonal of the flat
+    singular values (those the cut drops) in the kernel bases: it maps
+    null_dt unitarily onto null_dtstar.
     """
 
     d_t: np.ndarray
@@ -197,9 +192,12 @@ def classify(c: Contraction, tol: Tolerances = DEFAULT_TOL) -> frozenset:
     isometry, coisometry (so unitary) and partial_isometry read the defect
     chart T = W (+) Z of :func:`defect_data`, the chart of every part and
     arc: no defect space on the right, none on the left, and Z = 0 up to
-    the rank cut (T is the W (+) 0 of its chart).  The others are checked
-    by their defining identities, the square-only ones (quasi_normal,
-    quasi_isometry, hyponormal) on square inputs only.
+    the rank cut (T is the W (+) 0 of its chart).  On square inputs,
+    quasi_normal and hyponormal are one label: a quasi-normal T is
+    hyponormal in any dimension, and in finite dimensions a hyponormal T is
+    normal, since T*T - TT* >= 0 has trace 0; so both hold exactly when the
+    commutator T*T - TT* is zero up to PREDICATE_RTOL.  quasi_isometry is
+    checked by its defining identity T*T = T*^2 T^2.
     """
     t = c.mat
     rows, cols = t.shape
@@ -222,12 +220,10 @@ def classify(c: Contraction, tol: Tolerances = DEFAULT_TOL) -> frozenset:
     if not np.any(dd.z > tol.rank_rtol * norm):
         out.add("partial_isometry")
     if rows == cols:
-        if small(t @ (tt @ t) - (tt @ t) @ t):
-            out.add("quasi_normal")
+        if small(tt @ t - t @ tt):
+            out.update(("quasi_normal", "hyponormal"))
         if small(tt @ t - tt @ tt @ t @ t):
             out.add("quasi_isometry")
-        if psd_order_leq(herm(t @ tt), herm(tt @ t), tol):
-            out.add("hyponormal")
     if norm < 1.0 - tol.contraction_slack:
         out.add("strict")
     if dd.null_dt.dim == 0:
@@ -235,56 +231,19 @@ def classify(c: Contraction, tol: Tolerances = DEFAULT_TOL) -> frozenset:
     return frozenset(out)
 
 
-@dataclass(frozen=True)
-class UPDecomposition:
-    """T = U + Q over N(D_T) + D_T -> N(D_T*) + D_T* with U unitary, Q pure."""
-
-    basis_in: tuple  # (null_dt, defect_space)
-    basis_out: tuple  # (null_dtstar, defect_space_star)
-    u_block: np.ndarray
-    q_block: np.ndarray
-
-    def reassemble(self) -> np.ndarray:
-        n_in, d_in = self.basis_in
-        n_out, d_out = self.basis_out
-        return (n_out.basis @ self.u_block @ n_in.basis.conj().T
-                + d_out.basis @ self.q_block @ d_in.basis.conj().T)
-
-
-def up_decompose(c: Contraction, tol: Tolerances = DEFAULT_TOL) -> UPDecomposition:
-    """Split c into its unitary and pure parts along the defect kernels.
-
-    The bases of :func:`defect_data` are singular vectors of T, which maps
-    each right singular vector onto a multiple of the left one.  So T maps
-    N(D_T) isometrically onto N(D_T*) and the defect spaces into each other
-    by construction, and the NotDecomposable branch only fires when the
-    rank cuts of a rectangular T leave kernels of different dimensions.
-    """
-    dd = defect_data(c, tol)
-    n_in, d_in = dd.null_dt, dd.defect_space
-    n_out, d_out = dd.null_dtstar, dd.defect_space_star
-    if n_in.dim != n_out.dim:
-        raise NotDecomposableError(
-            f"defect kernels have mismatched dimensions {n_in.dim} != {n_out.dim}")
-    return UPDecomposition(
-        basis_in=(n_in, d_in), basis_out=(n_out, d_out),
-        u_block=compress(c.mat, n_out, n_in), q_block=compress(c.mat, d_out, d_in),
-    )
-
-
 def nearest_part_partial_isometry(c: Contraction,
                                   tol: Tolerances = DEFAULT_TOL) -> Contraction:
-    """Partial isometry U + 0 in the bases of :func:`up_decompose`.
+    """The partial isometry W (+) 0 of c's defect chart, P_out T P_in for the
+    kernel projections P_in, P_out of :func:`defect_data`.
 
     The result shares its Shmul'yan (equivalently Harnack) part with c:
-    dropping a strictly contractive pure block keeps the class.
+    dropping the strictly contractive block Z keeps the class.
     """
     if not c.is_square:
         raise ValueError("nearest_part_partial_isometry expects a square contraction")
-    decomp = up_decompose(c, tol)
-    n_in, _ = decomp.basis_in
-    n_out, _ = decomp.basis_out
-    w = n_out.basis @ decomp.u_block @ n_in.basis.conj().T
+    dd = defect_data(c, tol)
+    n_in, n_out = dd.null_dt, dd.null_dtstar
+    w = n_out.basis @ compress(c.mat, n_out, n_in) @ n_in.basis.conj().T
     return make_contraction(w, tol)
 
 

@@ -158,17 +158,21 @@ def _rank(s: np.ndarray, tol: Tolerances) -> int:
 
 def _defect_roots(s: np.ndarray, tol: Tolerances, *widths) -> list:
     """For each width, the roots (1 - s^2)^(1/2) of a contraction's singular
-    values s padded with ones to it, and the mask of the roots that _rank
-    keeps.  1 - s^2 = (1 - s)(1 + s) within psd_atol of zero (either sign)
-    is clamped to exactly 0, so that norm-one directions form a genuine
-    kernel instead of sqrt(round-off) noise; below -psd_atol raises
-    NotPSDError."""
+    values s padded with ones to it, and the mask of the roots kept by one
+    rank cut: above rank_rtol times the largest root over all the widths (1
+    whenever one is padded), so both sides of a rectangular chart keep the
+    same singular values and their kernels have one dimension.  1 - s^2 =
+    (1 - s)(1 + s) within psd_atol of zero (either sign) is clamped to
+    exactly 0, so that norm-one directions form a genuine kernel instead of
+    sqrt(round-off) noise; below -psd_atol raises NotPSDError."""
     gap = (1.0 - s) * (1.0 + s)
     if gap.size and gap.min() < -tol.psd_atol:
         raise NotPSDError(f"1 - s^2 = {gap.min():.3e} below -psd_atol")
     roots = np.sqrt(np.where(gap <= tol.psd_atol, 0.0, gap))
-    return [(r, r > tol.rank_rtol * r.max(initial=0.0)) for r in (
-        np.concatenate([roots, np.ones(w - s.size)]) if w > s.size else roots for w in widths)]
+    padded = [np.concatenate([roots, np.ones(w - s.size)]) if w > s.size else roots
+              for w in widths]
+    cut = tol.rank_rtol * max(r.max(initial=0.0) for r in padded)
+    return [(r, r > cut) for r in padded]
 
 
 @dataclass(frozen=True)

@@ -37,8 +37,6 @@ from .linalg import (
 # wrappers, so they stay
 from .segments import (  # noqa: F401
     LEAK_RTOL,
-    _disc_radius,
-    _factored_disc,
     _kernel_leak,
     _whitened_disc,
     circle_max_norm,
@@ -60,10 +58,8 @@ __all__ = [
     "SchurMemberVerdict",
     "SchurPoly",
     "connect_arc",
-    "kobayashi_upper_bound",
     "schur_part_member",
     "schur_poly",
-    "segment_radius",
 ]
 
 # connect_arc scales V to norm 1 / (1 + MOBIUS_MARGIN): a gap of 6e-14 in I - V*V
@@ -262,20 +258,6 @@ def schur_poly(coeffs, tol: Tolerances = DEFAULT_TOL) -> SchurPoly:
     return SchurPoly(coeffs=mats, sup_norm_estimate=est, method=method)
 
 
-def segment_radius(a: Contraction, b: Contraction,
-                   tol: Tolerances = DEFAULT_TOL) -> float:
-    """Proven lower bound of the largest r with ||(1-eps)a + eps b|| <= 1 +
-    tol.contraction_slack on the whole disc |eps| <= r.
-
-    ``segments.proven_radius`` of the segment, from a's cached SVD: positive
-    exactly when b is Shmul'yan dominated by a (up to the leak threshold),
-    math.inf for (essentially) constant segments.
-    """
-    if a.shape != b.shape:
-        raise ShapeMismatchError(f"shape mismatch {a.shape} vs {b.shape}")
-    return _disc_radius(_factored_disc(_factored(a), b.mat - a.mat, tol), tol)
-
-
 @dataclass(frozen=True, slots=True)
 class MobiusArc:
     """F(lam) = t + K_out (phi_{-Z}(lam V) - Z) K_in*, the arc of
@@ -392,14 +374,6 @@ def _chart_arc(t: Contraction, t_prime: Contraction, turned: bool, tol: Toleranc
     return MobiusArc(t.mat, dd.defect_space.basis, dd.defect_space_star.basis, dd.z,
                      dd.root_in, dd.root_out, v, sup if checked else math.inf,
                      pivot=lam if turned else None), lam
-
-
-def kobayashi_upper_bound(t: Contraction, t_prime: Contraction,
-                          tol: Tolerances = DEFAULT_TOL) -> float:
-    """The Kobayashi bound of :func:`connect_arc`; math.inf when it does not
-    connect the pair (always so for inequivalent pairs)."""
-    result = connect_arc(t, t_prime, tol)
-    return result.certificate.kobayashi_bound if result.status == "connected" else math.inf
 
 
 @dataclass(frozen=True, slots=True)

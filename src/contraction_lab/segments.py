@@ -15,7 +15,7 @@ exactly when P + eps N + conj(eps) N* >= 0 with P = [[I, c], [c*, I]] and
 N = [[0, u], [0, 0]]; a small leak of N onto ker P is charged to the
 slack.  ``_kernel_leak``, the one test of a leak onto isometric directions,
 decides the disc, the Shmul'yan order and Harnack level 1.  The Shmul'yan
-segment route and ``schur.segment_radius`` read ``proven_radius`` from the
+segment route (the verdict's ``radius``) reads ``proven_radius`` from the
 dominator's cached SVD.  ``radius_search`` looks only at sampled points of
 the circles, so its radius is a sampled estimate: the circle may leave the
 ball between two samples.  The library no longer calls it; it stays for
@@ -263,8 +263,9 @@ def _whitened_disc(center, direction, tol: Tolerances = DEFAULT_TOL):
     With P = [[I, c], [c*, I]] and N = [[0, u], [0, 0]], ||c + eps u|| <=
     1 + delta exactly when P + delta I + eps N + conj(eps) N* >= 0.  One SVD
     of c gives the eigenpairs of P (see _whitened); the pairs whose defect
-    root linalg._defect_roots cuts on both sides form its kernel K, the rest
-    its range R.  overshoot = max(0, s_0 - 1); past psd_atol omega is inf.
+    root falls under the one rank cut of linalg._defect_roots form its
+    kernel K, the rest its range R.  overshoot = max(0, s_0 - 1); past
+    psd_atol omega is inf.
     As K holds [u_i; -v_i] / sqrt(2), leak = _kernel_leak(u, V_K, U_K) /
     sqrt(2) bounds the K-K and R-K blocks of N and N*; when _kernel_leak
     finds a leak (the not-dominated case) omega is inf.  On R, with A =
@@ -303,7 +304,7 @@ def _factored_disc(factors, u, tol: Tolerances, kernel_leak=None):
         u, right_h.conj().T[:, ~keep_in], left[:, ~keep_out])
     if overshoot > tol.psd_atol or leak > bound:
         return math.inf, overshoot, leak / math.sqrt(2.0)
-    keep = keep_in[:s.size] | keep_out[:s.size]
+    keep = keep_in[:s.size]  # keep_out[:s.size] is the same mask: one cut
     mid = left.conj().T @ u @ right_h.conj().T
     e = 0.5 / (1.0 + s)
     e[keep] -= 0.5 / (1.0 - s[keep])

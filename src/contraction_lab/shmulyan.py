@@ -24,12 +24,10 @@ import numpy as np
 from .asymptotics import asymptotic_limit
 from .contraction import (
     Contraction,
-    NotDecomposableError,
     _factored,
     classify,
     defect_data,
     make_contraction,
-    up_decompose,
 )
 from .linalg import (
     DEFAULT_TOL,
@@ -227,7 +225,8 @@ class Membership:
 @dataclass(frozen=True)
 class PartDescription:
     """Shmul'yan part of a contraction w = W (+) C, in the defect chart of
-    w (:func:`up_decompose`): the part of the partial isometry W (+) 0.
+    w (:func:`contraction.defect_data`): the part of the partial isometry
+    W (+) 0, with W = compress(w, range_out, range_in).
 
     Members are exactly the contractions W + Z in the same bases with
     ||Z|| < 1.  membership_test decides it as ``shmulyan_equivalent``
@@ -247,13 +246,15 @@ class PartDescription:
 def partial_isometry_part(w: Contraction,
                           tol: Tolerances = DEFAULT_TOL) -> PartDescription:
     """The part of w, which is that of the partial isometry W (+) 0 of the
-    chart of ``up_decompose(w)`` (whose NotDecomposableError it passes on).
+    chart of ``defect_data(w)``: its kernels have one dimension, so W maps
+    N(D_w) unitarily onto N(D_{w*}) for any contraction w.
 
     membership_test(c) is the Shmul'yan equivalence decision of w and c,
     the two leak tests, and reports the leak of c - w as its residual.
     """
-    chart = up_decompose(w, tol)
-    (range_in, null_in), (range_out, null_out) = chart.basis_in, chart.basis_out
+    dd = defect_data(w, tol)
+    range_in, null_in = dd.null_dt, dd.defect_space
+    range_out, null_out = dd.null_dtstar, dd.defect_space_star
 
     def membership(c: Contraction) -> Membership:
         if c.shape != w.shape:
@@ -264,7 +265,7 @@ def partial_isometry_part(w: Contraction,
                           residual=leak)
 
     return PartDescription(
-        u_block=chart.u_block,
+        u_block=compress(w.mat, range_out, range_in),
         range_in=range_in, null_in=null_in,
         range_out=range_out, null_out=null_out,
         membership_test=membership,
@@ -430,16 +431,12 @@ def corner_norm_criterion(t: Contraction, tol: Tolerances = DEFAULT_TOL) -> dict
         cond_ii = op_norm(gram) < 1.0 - tol.contraction_slack
     else:
         cond_ii = True
-    try:
-        decomp = up_decompose(t, tol)
-        contains_pi = (decomp.q_block.size == 0) or \
-            (op_norm(decomp.q_block) < 1.0 - tol.contraction_slack)
-    except NotDecomposableError:
-        contains_pi = False
+    dd = defect_data(t, tol)
+    # ||Z|| of the chart T = W (+) Z is its largest kept singular value
+    contains_pi = dd.z.max(initial=0.0) < 1.0 - tol.contraction_slack
     q_pure = (h1.dim == 0) or (op_norm(q) < 1.0 - tol.contraction_slack)
     cond_i = contains_pi and q_pure
-    hypothesis = defect_data(t, tol).null_dt.contains(
-        defect_data(t, tol).null_dtstar, ANGLE_TOL)
+    hypothesis = dd.null_dt.contains(dd.null_dtstar, ANGLE_TOL)
     return {
         "cond_i": cond_i,
         "cond_ii": cond_ii,

@@ -169,6 +169,14 @@ class TestPartAndArc:
         assert code == 1
         assert report["verdict"]["member"] is False
 
+    def test_part_at_a_coarse_rank_cut(self, files):
+        # the 1 x 2 W = [[sqrt(1 - 1e-9), 0]] has its root 3.2e-5 under the
+        # rank cut 1e-4 on both sides, so its chart has a 1 x 1 W block
+        w = write_matrix(files["tmp"] / "w.json", [[np.sqrt(1.0 - 1e-9), 0.0]])
+        c = write_matrix(files["tmp"] / "c.json", [[0.5, 0.0]])
+        code, report = run_cli(["--rank-rtol", "1e-4", "part", w, c])
+        assert code in (0, 1) and "verdict" in report
+
     def test_arc_connected_round_trips(self, files):
         code, report = run_cli(["arc", files["zero"], files["half"]])
         assert code == 0

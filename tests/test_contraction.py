@@ -1,4 +1,4 @@
-"""Contraction validation, defect data, classification, and the U+Q split."""
+"""Contraction validation, defect data and its chart T = W (+) Z, classification."""
 
 import math
 
@@ -14,9 +14,8 @@ from contraction_lab import (
     make_contraction,
     nearest_part_partial_isometry,
     ttstar_power_limit,
-    up_decompose,
 )
-from contraction_lab import contraction, schur, segments, shmulyan
+from contraction_lab import contraction, segments, shmulyan
 from contraction_lab.asymptotics import asymptotic_limit
 from contraction_lab.contraction import PREDICATE_RTOL
 from contraction_lab.harnack import harnack_equivalence
@@ -251,21 +250,6 @@ class TestOneFactorization:
         assert shmulyan.shmulyan_equivalent(w, m).equivalent
         assert counts == [1, 1]
 
-    def test_segment_radius_reads_the_cached_svd(self, monkeypatch):
-        w = generate(GenSpec(dim=8, kind="partial_isometry", seed=1, params={"rank": 4}))
-        part = shmulyan.partial_isometry_part(w)
-        m = make_contraction(w.mat + part.null_out.basis @ (0.5 * np.eye(4))
-                             @ part.null_in.basis.conj().T)
-        counts = count_factorizations(monkeypatch)
-        r = schur.segment_radius(w, m)
-        assert counts["svd"] == 0
-        # the disc of w's cached factors; w was rescaled, so its cached SVD
-        # is the input's, and a fresh SVD of w.mat moves the radius
-        # within the rounding its leak term charges
-        disc = segments._factored_disc(contraction._factored(w), m.mat - w.mat, DEFAULT_TOL)
-        assert 0.0 < r == segments._disc_radius(disc, DEFAULT_TOL)
-        assert r == pytest.approx(segments.proven_radius(w.mat, m.mat - w.mat), rel=1e-7)
-
 
 def trusted_in(fn, *args) -> list:
     """The subspaces that fn(*args) builds with Subspace._trusted."""
@@ -382,6 +366,28 @@ class TestClassify:
                             seen += 1
         assert seen > 20
 
+    def test_normal_labels_from_one_commutator(self):
+        # T*T - TT* = 1e-10 diag(-1, 1): inside the commutator cut, though
+        # TT* <= T*T misses the psd_atol floor by rounding
+        flags = classify(make_contraction([[0.5, 1e-5], [0.0, 0.5]]))
+        assert {"quasi_normal", "hyponormal"} <= flags
+
+    def test_normal_labels_over_the_corpus(self):
+        seen = {True: 0, False: 0}
+        for kind in KINDS:
+            for d in (1, 2, 3, 4, 8):
+                for seed in range(3):
+                    made = generate(GenSpec(dim=d, kind=kind, seed=seed))
+                    for c in made if isinstance(made, tuple) else (made,):
+                        t = c.mat
+                        comm = op_norm(t.conj().T @ t - t @ t.conj().T)
+                        normal = comm <= PREDICATE_RTOL * max(1.0, op_norm(t) ** 2)
+                        flags = classify(c)
+                        assert ("quasi_normal" in flags) == ("hyponormal" in flags) == normal, \
+                            (kind, d, seed)
+                        seen[normal] += 1
+        assert min(seen.values()) > 20
+
     def test_nilpotent_flags(self):
         flags = classify(J)
         assert "partial_isometry" in flags
@@ -406,40 +412,92 @@ class TestClassify:
         assert np.allclose(dd.d_tstar @ dd.d_tstar, dd.d_tstar)
 
 
-class TestUpDecompose:
+def check_chart(c, tol=DEFAULT_TOL):
+    """The blocks W, Z of T = W (+) Z, the compressions of T to the kernels
+    and to the defect spaces of :func:`defect_data`: W unitary between the
+    kernels, Z the rectangular diagonal of z with norm < 1, and T
+    reassembled from the two blocks."""
+    dd = defect_data(c, tol)
+    w = compress(c.mat, dd.null_dtstar, dd.null_dt)
+    z = compress(c.mat, dd.defect_space_star, dd.defect_space)
+    k = dd.null_dt.dim
+    assert w.shape == (k, k)
+    if k:
+        assert op_norm(w.conj().T @ w - np.eye(k)) < 1e-7
+    want = np.zeros(z.shape)
+    want[np.arange(dd.z.size), np.arange(dd.z.size)] = dd.z
+    assert op_norm(z - want) <= 1e-12
+    assert op_norm(z) < 1.0
+    back = (dd.null_dtstar.basis @ w @ dd.null_dt.basis.conj().T
+            + dd.defect_space_star.basis @ z @ dd.defect_space.basis.conj().T)
+    assert op_norm(back - c.mat) < 1e-7
+    return w, z
+
+
+class TestDefectChart:
     def test_diagonal(self):
-        c = make_contraction(np.diag([1.0, 0.5]))
-        d = up_decompose(c)
-        assert d.u_block.shape == (1, 1)
-        assert d.u_block[0, 0] == pytest.approx(1.0)
-        assert d.q_block[0, 0] == pytest.approx(0.5)
+        w, z = check_chart(make_contraction(np.diag([1.0, 0.5])))
+        assert w.shape == (1, 1)
+        assert w[0, 0] == pytest.approx(1.0)
+        assert z[0, 0] == pytest.approx(0.5)
 
     def test_nilpotent(self):
-        d = up_decompose(J)
-        assert d.u_block.shape == (1, 1)
-        assert abs(d.u_block[0, 0]) == pytest.approx(1.0)
-        assert op_norm(d.q_block) == pytest.approx(0.0)
+        w, z = check_chart(J)
+        assert w.shape == (1, 1)
+        assert abs(w[0, 0]) == pytest.approx(1.0)
+        assert op_norm(z) == pytest.approx(0.0)
 
     def test_strict_has_empty_unitary_part(self):
         g = rng_matrix(17, 3, 3)
         c = make_contraction(0.5 * g / op_norm(g))
-        d = up_decompose(c)
-        assert d.u_block.shape == (0, 0)
-        # the pure block is all of c, expressed in the defect bases
-        n_out, d_out = d.basis_out
-        n_in, d_in = d.basis_in
-        back = d_out.basis @ d.q_block @ d_in.basis.conj().T
+        w, z = check_chart(c)
+        assert w.shape == (0, 0)
+        # Z is all of c, expressed in the defect bases
+        dd = defect_data(c)
+        back = dd.defect_space_star.basis @ z @ dd.defect_space.basis.conj().T
         assert op_norm(back - c.mat) < 1e-9
 
     @settings(max_examples=30, deadline=None)
     @given(square_contractions())
-    def test_always_succeeds_with_pure_block(self, c):
-        d = up_decompose(c)
-        assert op_norm(d.q_block) < 1.0
-        assert op_norm(d.reassemble() - c.mat) < 1e-7
-        k = d.u_block.shape[0]
-        if k:
-            assert op_norm(d.u_block.conj().T @ d.u_block - np.eye(k)) < 1e-7
+    def test_chart_of_any_square_contraction(self, c):
+        check_chart(c)
+
+
+# W = [[sqrt(1 - 1e-9), 0]]: its root 3.2e-5 is kept above the psd_atol clamp
+# and falls under the rank cut once rank_rtol is 1e-4
+NEAR_ISOMETRIC_ROW = np.array([[math.sqrt(1.0 - 1e-9), 0.0]])
+
+
+class TestOneRankCut:
+    """Both sides of a chart are cut against one reference root, so the
+    kernels of a rectangular contraction have one dimension."""
+
+    @pytest.mark.parametrize("rank_rtol, kernel", [(1e-9, 0), (1e-4, 1)])
+    @pytest.mark.parametrize("transpose", [False, True], ids=["1x2", "2x1"])
+    def test_near_isometric_row(self, rank_rtol, kernel, transpose):
+        t = NEAR_ISOMETRIC_ROW.T if transpose else NEAR_ISOMETRIC_ROW
+        tol = Tolerances(rank_rtol=rank_rtol)
+        c = make_contraction(t, tol)
+        dd = defect_data(c, tol)
+        assert dd.null_dt.dim == dd.null_dtstar.dim == kernel
+        check_chart(c, tol)
+
+    @pytest.mark.parametrize("rank_rtol", [1e-9, 1e-4])
+    def test_random_rectangular_shapes(self, rank_rtol):
+        # singular values 1 - 10^-k straddle both cuts; 1 and 0.5 sit clear of them
+        tol = Tolerances(rank_rtol=rank_rtol)
+        rng = np.random.default_rng(32)
+        levels = np.array([1.0, 1.0 - 1e-11, 1.0 - 1e-9, 1.0 - 1e-8, 1.0 - 1e-7, 0.5, 0.0])
+        for _ in range(300):
+            rows, cols = rng.choice(np.arange(1, 7), size=2, replace=False)
+            k = min(rows, cols)
+            u = np.linalg.qr(rng_matrix(int(rng.integers(1 << 30)), rows, rows))[0]
+            v = np.linalg.qr(rng_matrix(int(rng.integers(1 << 30)), cols, cols))[0]
+            s = np.sort(rng.choice(levels, size=k))[::-1]
+            c = Contraction((u[:, :k] * s) @ v[:, :k].conj().T)
+            dd = defect_data(c, tol)
+            assert dd.null_dt.dim == dd.null_dtstar.dim, (rows, cols, s)
+            check_chart(c, tol)
 
 
 class TestNearestPartPartialIsometry:

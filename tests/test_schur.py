@@ -9,11 +9,10 @@ from hypothesis import strategies as st
 
 from contraction_lab import (
     connect_arc,
-    kobayashi_upper_bound,
     make_contraction,
     schur_part_member,
     schur_poly,
-    segment_radius,
+    shmulyan_dominates,
     shmulyan_equivalent,
 )
 from contraction_lab import defect_data, schur, shmulyan
@@ -37,6 +36,13 @@ JZ = make_contraction([[0, 1], [0.5, 0]])
 
 def sc(x):
     return make_contraction([[x]])
+
+
+def kobayashi_bound(a, b):
+    """The Kobayashi bound of the certificate of connect_arc(a, b);
+    math.inf when it does not connect the pair."""
+    result = connect_arc(a, b)
+    return result.certificate.kobayashi_bound if result.status == "connected" else math.inf
 
 
 def rand_coeffs(seed, rows, cols, degree, scale=0.4):
@@ -385,22 +391,25 @@ class TestHeapMatchesLinearScan:
 
 
 class TestSegmentRadius:
+    """The segment radius of a to b is the radius of the verdict "b is
+    dominated by a"."""
+
     def test_scalar_pair(self):
-        assert segment_radius(sc(0.0), sc(0.5)) == pytest.approx(2.0, abs=1e-5)
+        assert shmulyan_dominates(sc(0.5), sc(0.0)).radius == pytest.approx(2.0, abs=1e-5)
 
     def test_constant_segment(self):
         t = sc(0.5)
-        assert math.isinf(segment_radius(t, t))
+        assert math.isinf(shmulyan_dominates(t, t).radius)
 
     def test_part_pair_positive(self):
-        r = segment_radius(J, JZ)
+        r = shmulyan_dominates(JZ, J).radius
         assert 0 < r < math.inf
         # verify the endpoints of the certified disc stay contractive
         eps = r * 0.999
         assert op_norm((1 - eps) * J.mat + eps * JZ.mat) <= 1 + 1e-9
 
     def test_zero_for_inequivalent(self):
-        assert segment_radius(sc(1.0), sc(0.5)) == 0.0
+        assert shmulyan_dominates(sc(0.5), sc(1.0)).radius == 0.0
 
 
 class TestConnectArc:
@@ -546,7 +555,7 @@ class TestMobiusArc:
         monkeypatch.setattr(schur, "_whitened_sup", refuse)
         for a, b in ((J, JZ), arc_pair("eq-strict", 3, 5), arc_pair("eq-w-member", 4, 7)):
             assert connect_arc(a, b).status == "connected"
-            assert math.isfinite(kobayashi_upper_bound(a, b))
+            assert math.isfinite(connect_arc(a, b).certificate.kobayashi_bound)
 
     def test_perturbed_direction_fails_the_certificate(self, monkeypatch):
         # a negative margin scales V to norm 1 + 1e-6: I - V*V is not >= 0
@@ -554,8 +563,8 @@ class TestMobiusArc:
         (arc, _lam), = connect_arc(a, b).certificate.arcs
         assert 1.0 - 1e-13 <= op_norm(arc.v) < 1.0
         monkeypatch.setattr(schur, "MOBIUS_MARGIN", -1e-6 / (1.0 + 1e-6))
-        assert connect_arc(a, b).status == "budget_exhausted"
-        assert math.isinf(kobayashi_upper_bound(a, b))
+        result = connect_arc(a, b)
+        assert result.status == "budget_exhausted" and result.certificate is None
 
     @pytest.mark.parametrize("shape", [(3, 5), (5, 3)])
     def test_rectangular_pairs_connect(self, shape):
@@ -629,23 +638,27 @@ class TestMobiusArc:
 
 
 class TestKobayashi:
+    """The Kobayashi bound of the certificate of connect_arc."""
+
     def test_scalar_upper_bound(self):
-        assert kobayashi_upper_bound(sc(0.0), sc(0.5)) <= math.atanh(0.5) + 1e-6
+        assert kobayashi_bound(sc(0.0), sc(0.5)) <= math.atanh(0.5) + 1e-6
 
     def test_identical(self):
-        assert kobayashi_upper_bound(JZ, JZ) == 0.0
+        assert kobayashi_bound(JZ, JZ) == 0.0
 
     def test_infinite_for_inequivalent(self):
-        assert math.isinf(kobayashi_upper_bound(sc(1.0), sc(0.5)))
+        result = connect_arc(sc(1.0), sc(0.5))
+        assert result.status == "not_equivalent" and result.certificate is None
+        assert math.isinf(kobayashi_bound(sc(1.0), sc(0.5)))
 
     def test_partial_isometry_part_distance(self):
         # JZ is J plus the block 0.5 on the defect spaces of J
-        assert kobayashi_upper_bound(J, JZ) == pytest.approx(math.atanh(0.5), abs=1e-13)
+        assert kobayashi_bound(J, JZ) == pytest.approx(math.atanh(0.5), abs=1e-13)
 
     def test_symmetric(self):
         a = scaled_contraction(3, 2, 0.5)
         b = scaled_contraction(4, 2, 0.7)
-        assert kobayashi_upper_bound(a, b) == pytest.approx(kobayashi_upper_bound(b, a), abs=1e-12)
+        assert kobayashi_bound(a, b) == pytest.approx(kobayashi_bound(b, a), abs=1e-12)
 
 
 class TestSchurPartMember:
