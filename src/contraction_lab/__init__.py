@@ -44,7 +44,6 @@ from .harnack import (
 )
 from .linalg import (
     DEFAULT_TOL,
-    NotHermitianError,
     NotPSDError,
     ShapeMismatchError,
     Subspace,
@@ -52,7 +51,6 @@ from .linalg import (
     matrix_from_json,
     matrix_to_json,
     op_norm,
-    psd_order_leq,
     range_of,
 )
 from .schur import (

@@ -36,6 +36,8 @@ An eigenvalue near the circle that the split did not remove ends
 Inconclusive, never Dominated.  The Gram matrices themselves are built only
 on request (``full_trace``), as an audit of the constant trace.
 
+``harnack_equivalence`` needs none of this: it is the chart decision.
+
 Direction convention, used consistently across this module:
 ``harnack_dominates(a, b)`` asks whether **a dominates b**, and
 ``harnack_falsify(a, b, c)`` hunts for a positive-real polynomial with
@@ -63,6 +65,7 @@ from .linalg import (
     op_norm,
 )
 from .segments import _kernel_leak, _whitened, unit_circle
+from .shmulyan import _chart_equivalent
 
 __all__ = [
     "DOMINATED",
@@ -398,22 +401,24 @@ def harnack_dominates(a: Contraction, b: Contraction,
 
 @dataclass(frozen=True)
 class HarnackEquivalence:
-    status: str  # "equivalent" | "not_equivalent" | "inconclusive"
-    forward: HarnackVerdict   # does a dominate b
-    backward: HarnackVerdict  # does b dominate a
+    """status: "equivalent" or "not_equivalent", never inconclusive; each
+    direction's constant and witness is :func:`harnack_dominates`."""
+
+    status: str
 
 
 def harnack_equivalence(a: Contraction, b: Contraction,
                         tol: Tolerances = DEFAULT_TOL) -> HarnackEquivalence:
-    fwd = harnack_dominates(a, b, tol)
-    bwd = harnack_dominates(b, a, tol)
-    if fwd.status == DOMINATED and bwd.status == DOMINATED:
-        status = "equivalent"
-    elif fwd.status == NOT_DOMINATED or bwd.status == NOT_DOMINATED:
-        status = "not_equivalent"
-    else:
-        status = "inconclusive"
-    return HarnackEquivalence(status=status, forward=fwd, backward=bwd)
+    """Harnack equivalence by the chart decision: a square contraction is
+    W (+) C in its defect chart, its part is that of the partial isometry
+    W (+) 0, and there the Harnack and Shmul'yan parts coincide (the
+    paper's theorem).  So the pair is equivalent exactly when both leak
+    tests of ``shmulyan_equivalent`` pass, at any dimension."""
+    if a.shape != b.shape:
+        raise ShapeMismatchError(f"shape mismatch {a.shape} vs {b.shape}")
+    if not a.is_square:
+        raise ValueError("harnack_equivalence expects square contractions")
+    return HarnackEquivalence("equivalent" if _chart_equivalent(a, b, tol) else "not_equivalent")
 
 
 def positive_real_sample(degree: int, seed: int) -> np.ndarray:
@@ -600,10 +605,12 @@ def quasi_normal_equivalence_report(t: Contraction, t_prime: Contraction,
     Hypotheses: t* quasi-normal, t commutes with t' and with t'*t', and
     t' commutes with t t*.  Statements: (domination of t by t'), Harnack
     equivalence, Shmul'yan equivalence, intertwiner with W, and optionally
-    an explicit connecting arc.  A Harnack statement holds only on a
-    Dominated verdict; the rare Inconclusive one (an eigenvalue of the
-    completely non-unitary part left on the circle, or d >= 127) reads as
-    false, like NotDominated.
+    an explicit connecting arc.  The Harnack statements read
+    ``harnack_dominates`` both ways, independently of the Shmul'yan one,
+    which is the chart decision of two leak tests.  A Harnack statement
+    holds only on a Dominated verdict; the rare Inconclusive one (an
+    eigenvalue of the completely non-unitary part left on the circle, or
+    d >= 127) reads as false, like NotDominated.
     """
     if t.shape != t_prime.shape or not t.is_square:
         raise ShapeMismatchError("pipeline expects equal square shapes")
@@ -623,11 +630,8 @@ def quasi_normal_equivalence_report(t: Contraction, t_prime: Contraction,
             pm @ (tm @ ts) - (tm @ ts) @ pm),
     }
 
-    from .shmulyan import shmulyan_equivalent
-
     fwd = harnack_dominates(t_prime, t, tol)   # t dominated by t'
     bwd = harnack_dominates(t, t_prime, tol)   # t' dominated by t
-    equiv = shmulyan_equivalent(t, t_prime, tol)
 
     intertwiner_ok = False
     intertwiner_residual = None
@@ -642,7 +646,7 @@ def quasi_normal_equivalence_report(t: Contraction, t_prime: Contraction,
     statements = {
         "harnack_dominated": fwd.status == DOMINATED,
         "harnack_equivalent": fwd.status == DOMINATED and bwd.status == DOMINATED,
-        "shmulyan_equivalent": equiv.equivalent,
+        "shmulyan_equivalent": _chart_equivalent(t, t_prime, tol),
         "intertwiner": intertwiner_ok,
     }
     details: dict = {

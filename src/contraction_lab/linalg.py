@@ -3,10 +3,9 @@
 Everything downstream (defect operators, Gram hierarchies, Schur arcs)
 reduces to a handful of rank-aware primitives collected here: the
 tolerance policy, the spectral norm, the numerical rank and the defect
-roots of a contraction's singular values, numerical ranges, subspace
-geometry and the Loewner order.  All rank decisions use a relative
-singular-value cutoff so that rescaling a matrix never changes a computed
-subspace.
+roots of a contraction's singular values, numerical ranges and subspace
+geometry.  All rank decisions use a relative singular-value cutoff so that
+rescaling a matrix never changes a computed subspace.
 """
 
 from __future__ import annotations
@@ -19,7 +18,6 @@ import numpy as np
 __all__ = [
     "ANGLE_TOL",
     "DEFAULT_TOL",
-    "NotHermitianError",
     "NotPSDError",
     "ShapeMismatchError",
     "Subspace",
@@ -30,16 +28,11 @@ __all__ = [
     "matrix_from_json",
     "matrix_to_json",
     "op_norm",
-    "psd_order_leq",
     "range_of",
 ]
 
 # Largest principal angle below which two subspaces count as equal.
 ANGLE_TOL = 1e-7
-
-
-class NotHermitianError(ValueError):
-    """Input expected to be Hermitian is not, beyond tolerance."""
 
 
 class NotPSDError(ValueError):
@@ -137,16 +130,6 @@ def matrix_from_json(obj) -> np.ndarray:
     if re.shape != (rows * cols,) or im.shape != (rows * cols,):
         raise ValueError("entry count does not match rows*cols")
     return as_matrix((re + 1j * im).reshape(rows, cols))
-
-
-def _check_hermitian(m: np.ndarray, tol: Tolerances, what: str = "input"):
-    if m.shape[0] != m.shape[1]:
-        raise NotHermitianError(f"{what} is not square: {m.shape}")
-    if m.size == 0:
-        return
-    resid = op_norm(m - m.conj().T)
-    if resid > 100.0 * tol.psd_atol * max(1.0, op_norm(m)):
-        raise NotHermitianError(f"{what} is not Hermitian (residual {resid:.3e})")
 
 
 def _rank(s: np.ndarray, tol: Tolerances) -> int:
@@ -251,19 +234,6 @@ def range_of(m, tol: Tolerances = DEFAULT_TOL) -> Subspace:
         return Subspace._trusted(a.shape[0], np.zeros((a.shape[0], 0), dtype=complex))
     u, s, _ = np.linalg.svd(a, full_matrices=False)
     return Subspace._trusted(a.shape[0], u[:, :_rank(s, tol)])
-
-
-def psd_order_leq(a, b, tol: Tolerances = DEFAULT_TOL) -> bool:
-    """Loewner order a <= b for Hermitian matrices."""
-    am, bm = as_matrix(a), as_matrix(b)
-    _check_hermitian(am, tol, "psd_order_leq lhs")
-    _check_hermitian(bm, tol, "psd_order_leq rhs")
-    if am.shape != bm.shape:
-        raise ShapeMismatchError(f"shape mismatch {am.shape} vs {bm.shape}")
-    if am.size == 0:
-        return True
-    w = np.linalg.eigvalsh(herm(bm - am))
-    return bool(w[0] >= -tol.psd_atol)
 
 
 def compress(m, out_basis: Subspace, in_basis: Subspace) -> np.ndarray:

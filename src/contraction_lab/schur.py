@@ -46,7 +46,7 @@ from .segments import (  # noqa: F401
     unit_circle,
 )
 from .shmulyan import (  # noqa: F401
-    _factor_dominates,
+    _chart_equivalent,
     partial_isometry_part,
     shmulyan_equivalent,
 )
@@ -323,8 +323,8 @@ def connect_arc(t: Contraction, t_prime: Contraction,
                 tol: Tolerances = DEFAULT_TOL) -> ArcResult:
     """One Moebius arc from t to t_prime in the defect chart of t (:class:`MobiusArc`).
 
-    Arcs exist exactly for Shmul'yan-equivalent pairs (the decision of
-    ``shmulyan_dominates`` both ways, without its audit routes), so
+    Arcs exist exactly for Shmul'yan-equivalent pairs (the two leak tests of
+    ``shmulyan_equivalent``, without its audit routes), so
     inequivalence is proven "not_equivalent".  phi_Z(X) = D_{Z*}^{-1} (X - Z)
     (I - Z*X)^{-1} D_Z sends Z to 0 and Z' = K_out* t_prime K_in to X; with
     lambda0 = ||X|| (1 + MOBIUS_MARGIN) and V = X / lambda0, atanh lambda0 is
@@ -342,7 +342,7 @@ def connect_arc(t: Contraction, t_prime: Contraction,
     gap = op_norm(t_prime.mat - t.mat)
     if gap <= 1e-12:
         return ArcResult("connected", ArcCertificate((), 0.0, ()))
-    if not (_factor_dominates(t_prime, t, tol) and _factor_dominates(t, t_prime, tol)):
+    if not _chart_equivalent(t, t_prime, tol):
         return ArcResult("not_equivalent", None)
     for start, end, turned in ((t, t_prime, False), (t_prime, t, True)):
         arc, lam = _chart_arc(start, end, turned, tol)

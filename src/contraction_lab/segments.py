@@ -16,10 +16,11 @@ N = [[0, u], [0, 0]]; a small leak of N onto ker P is charged to the
 slack.  ``_kernel_leak``, the one test of a leak onto isometric directions,
 decides the disc, the Shmul'yan order and Harnack level 1.  The Shmul'yan
 segment route (the verdict's ``radius``) reads ``proven_radius`` from the
-dominator's cached SVD.  ``radius_search`` looks only at sampled points of
-the circles, so its radius is a sampled estimate: the circle may leave the
-ball between two samples.  The library no longer calls it; it stays for
-the benchmark tracer, which requires its bindings.
+dominator's cached SVD.  ``radius_search`` brackets and bisects the radius
+over ``circle_max_norm``, which looks only at sampled points of the
+circles, so its radius is a sampled estimate: the circle may leave the
+ball between two samples.  The library does not call it; it stays for the
+benchmark tracer, which requires its bindings.
 """
 
 from __future__ import annotations
@@ -38,9 +39,6 @@ RADIUS_FLOOR = 1e-6
 RADIUS_CAP = 1e8
 # Relative accuracy of the radius bisection.
 RADIUS_RTOL = 1e-8
-# radius_search skips a sample only when its proven bound is this far
-# inside the limit (see its docstring).
-PRUNE_MARGIN = 1e-12
 # Angles of the numerical-radius grid of proven_radius; the grid maximum is
 # within a factor cos(pi / 256) = 1 - 7.5e-5 of the numerical radius.
 RADIUS_ANGLES = 256
@@ -61,8 +59,12 @@ def unit_circle(samples: int):
     return theta, np.exp(1j * theta)
 
 
-def _poly_stack(coeffs, points) -> np.ndarray:
-    """The matrices F(p) for every p in ``points``, stacked."""
+def poly_norms(coeffs, points) -> np.ndarray:
+    """||F(p)|| for every p in ``points``: the top singular value of each
+    F(p) in one stack, the Euclidean norm for a single row or column (no
+    SVD), and 0 for empty F."""
+    if coeffs[0].size == 0:
+        return np.zeros(points.shape)
     stack = np.broadcast_to(coeffs[0], points.shape + coeffs[0].shape)
     z = points
     for c in coeffs[1:]:
@@ -70,22 +72,9 @@ def _poly_stack(coeffs, points) -> np.ndarray:
         term += stack  # the floats of stack + term, without a third array
         stack = term
         z = z * points
-    return stack
-
-
-def _top_singular(stack) -> np.ndarray:
-    """The largest singular value of every matrix in a stack; for a single
-    row or column it is the Euclidean norm, taken without an SVD."""
     if min(stack.shape[-2:]) == 1:
         return np.linalg.norm(stack, axis=(-2, -1))
     return np.linalg.svd(stack, compute_uv=False)[:, 0]
-
-
-def poly_norms(coeffs, points) -> np.ndarray:
-    """||F(p)|| for every p in ``points`` (:func:`_top_singular`; 0 for empty F)."""
-    if coeffs[0].size == 0:
-        return np.zeros(points.shape)
-    return _top_singular(_poly_stack(coeffs, points))
 
 
 def poly_value(coeffs, lam: complex) -> np.ndarray:
@@ -106,120 +95,41 @@ def circle_max_norm(center, direction, r: float, samples: int) -> float:
 
 
 def radius_search(center, direction, slack: float, samples: int = 128) -> float:
-    """Largest r whose sampled circle |eps| = r stays within 1 + slack.
+    """Largest r whose sampled circle |eps| = r (:func:`circle_max_norm`)
+    stays within 1 + slack.
 
-    A radius r is inside when phi_k(r) = ||center + r lam_k direction||
-    <= 1 + slack at each of the ``samples`` points lam_k of the unit
-    circle.  The radii RADIUS_FLOOR * 4^j bracket the first radius that
-    is not inside, and bisection refines the bracket to relative accuracy
-    RADIUS_RTOL.  Returns 0.0 when even RADIUS_FLOOR escapes, math.inf
-    when the direction is negligible or every bracket radius up to
-    RADIUS_CAP is inside (constant or essentially constant segments).
-    Only the samples are checked, so the circle through the returned
-    radius can leave the ball between two of them.
-
-    Every inside/escape decision is the one of a search that evaluates
-    every sample at every radius, but a sample whose answer is already
-    proven is not evaluated.  Each phi_k is convex in r, so upper bounds
-    of phi_k at two radii bound it between them by their chord, and
-    phi_k(s) <= phi_k(r) + |s - r| ||direction|| (also from r = 0, where
-    phi_k(0) = ||center||).  A sample is skipped only when such a bound is
-    at most 1 + slack - PRUNE_MARGIN.  The margin is far above the
-    rounding of the evaluated matrices and the backward error of their
-    SVD (about 1e-14 at norm <= 2 + slack, which covers every inside
-    radius), so a skipped sample is one that the full evaluation would
-    have found inside.  A decision that can escape evaluates the sample
-    that escaped last before the others, so it usually costs one SVD.
+    The radii RADIUS_FLOOR * 4^j bracket the first radius that is not
+    inside, and bisection refines it to relative accuracy RADIUS_RTOL.
+    0.0 when even RADIUS_FLOOR escapes, math.inf when the direction is
+    negligible or every bracket radius up to RADIUS_CAP is inside.  The
+    circle through the returned radius can leave the ball between samples.
     """
     c = as_matrix(center)
     u = as_matrix(direction)
     limit = 1.0 + slack
-    c_norm = op_norm(c)
-    u_norm = op_norm(u)
-    if u_norm <= 1e-14 * max(1.0, c_norm):
+    if op_norm(u) <= 1e-14 * max(1.0, op_norm(c)):
         return math.inf
-    _, lam = unit_circle(samples)
-    hint = 0  # the sample that escaped last
 
-    def escapes(r, bound, first=None):
-        """Whether some sample escapes at r, and upper bounds of phi_k(r).
+    def inside(r):
+        return circle_max_norm(c, u, r, samples) <= limit
 
-        ``bound`` holds upper bounds of every phi_k(r); the samples it
-        proves inside are skipped.  Of the others, the rows ``first``
-        (default: the hint) are evaluated before the rest, which are
-        evaluated only when none of them escapes.
-        """
-        nonlocal hint
-        todo = bound > limit - PRUNE_MARGIN
-        if not todo.any():
-            return False, bound
-        if first is None:
-            first = [hint if todo[hint] else int(np.argmax(np.where(todo, bound, -np.inf)))]
-        first = np.asarray(first)
-        first = first[todo[first]]
-        # with every sample to decide, the rest is the stack itself (its
-        # first rows again) rather than a copy of all the other rows
-        rest = np.arange(samples) if todo.all() else np.setdiff1d(np.flatnonzero(todo), first)
-        stack = _poly_stack((c, u), r * lam)
-        bound = bound.copy()
-        for rows in (first, rest):
-            if rows.size:
-                norms = _top_singular(stack if rows.size == samples else stack[rows])
-                bound[rows] = norms
-                if norms.max() > limit:
-                    hint = int(rows[np.argmax(norms)])
-                    return True, bound
-        return False, bound
-
-    def from_center(r):
-        # phi_k(r) <= phi_k(0) + r ||u||, and phi_k(0) = ||c||
-        return np.full(samples, c_norm + r * u_norm)
-
-    # the floor, with a few spread samples first: most segments that do not
-    # exist leave the ball at several of them
-    out, floor_bound = escapes(RADIUS_FLOOR, from_center(RADIUS_FLOOR),
-                               np.arange(0, samples, max(1, samples // 8)))
-    if out:
+    if not inside(RADIUS_FLOOR):
         return 0.0
-    radii = [RADIUS_FLOOR]
-    while radii[-1] < RADIUS_CAP:
-        radii.append(radii[-1] * 4.0)
-    # Walk the bracket radii down to the first inside one.  Radii with
-    # r ||u|| > ||c|| + limit + 1 escape at every sample, so the walk starts
-    # at the first of them (not the floor, which was inside); the radii
-    # above it are never needed.
-    i = next((j for j, r in enumerate(radii) if r * u_norm > c_norm + limit + 1.0),
-             len(radii) - 1)
-    bounds = {0: floor_bound}
-    while i > 0:
-        out, bounds[i] = escapes(radii[i], from_center(radii[i]))
-        if not out:
+    lo = hi = RADIUS_FLOOR
+    while hi < RADIUS_CAP:
+        lo, hi = hi, hi * 4.0
+        if not inside(hi):
             break
-        i -= 1
-    # the bracket radii below the inside one, by the chord through the floor
-    lo, hi = i, i + 1
-    for j in range(1, i):
-        t = (radii[j] - radii[0]) / (radii[i] - radii[0])
-        out, bounds[j] = escapes(radii[j], floor_bound + t * (bounds[i] - floor_bound))
-        if out:
-            lo, hi = j - 1, j
-            break
-    if hi == len(radii):
+    else:
         return math.inf
-    lo_bound, hi_bound = bounds[lo], bounds[hi]
-    lo, hi = radii[lo], radii[hi]
-    # samples not evaluated at hi: the triangle bound from lo
-    hi_bound = np.minimum(hi_bound, lo_bound + (hi - lo) * u_norm)
     for _ in range(80):
         if hi - lo <= RADIUS_RTOL * max(1.0, lo):
             break
         mid = 0.5 * (lo + hi)
-        t = (mid - lo) / (hi - lo)
-        out, bound = escapes(mid, lo_bound + t * (hi_bound - lo_bound))
-        if out:
-            hi, hi_bound = mid, bound
+        if inside(mid):
+            lo = mid
         else:
-            lo, lo_bound = mid, bound
+            hi = mid
     return lo
 
 

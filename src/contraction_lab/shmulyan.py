@@ -112,6 +112,12 @@ def _factor_dominates(b: Contraction, a: Contraction, tol: Tolerances) -> bool:
     return leak <= bound
 
 
+def _chart_equivalent(a: Contraction, b: Contraction, tol: Tolerances) -> bool:
+    """The decision of :func:`shmulyan_equivalent`, the two leak tests without
+    audit routes: b dominated by a, then a by b."""
+    return _factor_dominates(b, a, tol) and _factor_dominates(a, b, tol)
+
+
 def shmulyan_dominates(b: Contraction, a: Contraction,
                        tol: Tolerances = DEFAULT_TOL) -> ShmulyanVerdict:
     """Decide whether b is Shmul'yan dominated by a (b = a + D_{a*} X D_a).
@@ -298,7 +304,8 @@ def column_criterion(t: Contraction, t_prime: Contraction,
     and likewise T', checks the four cross-orthogonality conditions
     T0*T1 + T2*T3 = 0 (both operators and both mixed variants); when they
     hold, equivalence of the column pairs implies equivalence of the full
-    pair.
+    pair.  Each column pair is decided by the two leak tests of
+    :func:`shmulyan_equivalent`, without its audit routes.
     """
     if t.shape != t_prime.shape:
         raise IncompatibleSplitsError(f"shape mismatch {t.shape} vs {t_prime.shape}")
@@ -320,12 +327,9 @@ def column_criterion(t: Contraction, t_prime: Contraction,
         t1.conj().T @ p0 + t3.conj().T @ p2,
     ]
     conditions_hold = all(op_norm(cnd) <= ROUTE_RTOL for cnd in conds)
-    col0 = shmulyan_equivalent(
-        make_contraction(t.mat[:, :k], tol), make_contraction(t_prime.mat[:, :k], tol),
-        tol).equivalent
-    col1 = shmulyan_equivalent(
-        make_contraction(t.mat[:, k:], tol), make_contraction(t_prime.mat[:, k:], tol),
-        tol).equivalent
+    col0, col1 = (_chart_equivalent(make_contraction(t.mat[:, side], tol),
+                                    make_contraction(t_prime.mat[:, side], tol), tol)
+                  for side in (np.s_[:k], np.s_[k:]))
     return ColumnCriterion(conditions_hold, col0, col1)
 
 

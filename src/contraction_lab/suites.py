@@ -42,7 +42,7 @@ from .harnack import (
 )
 from .linalg import DEFAULT_TOL, Tolerances, compress, op_norm
 from .schur import connect_arc, schur_poly, schur_part_member
-from .shmulyan import partial_isometry_part, shmulyan_dominates, shmulyan_equivalent
+from .shmulyan import _chart_equivalent, partial_isometry_part, shmulyan_dominates
 
 __all__ = ["SUITES", "SuiteReport", "run_suite"]
 
@@ -611,7 +611,7 @@ def run_defect_regularity(cases: int = 500, seed: int = 109,
         w = nearest_part_partial_isometry(t, tol)
         if "partial_isometry" not in classify(w, tol):
             failures.append(f"case {i} ({kind}): split is not a partial isometry")
-        if not shmulyan_equivalent(t, w, tol).equivalent:
+        if not _chart_equivalent(t, w, tol):
             failures.append(f"case {i} ({kind}): split left the part")
     return SuiteReport("defect-regularity", cases, failures)
 

@@ -16,12 +16,25 @@ from contraction_lab.linalg import (
     NotPSDError,
     Subspace,
     Tolerances,
-    _check_hermitian,
     _rank,
     as_matrix,
     herm,
     op_norm,
 )
+
+
+class NotHermitianError(ValueError):
+    """Input expected to be Hermitian is not, beyond tolerance."""
+
+
+def _check_hermitian(m: np.ndarray, tol: Tolerances, what: str = "input"):
+    if m.shape[0] != m.shape[1]:
+        raise NotHermitianError(f"{what} is not square: {m.shape}")
+    if m.size == 0:
+        return
+    resid = op_norm(m - m.conj().T)
+    if resid > 100.0 * tol.psd_atol * max(1.0, op_norm(m)):
+        raise NotHermitianError(f"{what} is not Hermitian (residual {resid:.3e})")
 
 
 def psd_sqrt(m, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:

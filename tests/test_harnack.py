@@ -26,12 +26,11 @@ from contraction_lab import (
     positive_real_sample,
     quasi_normal_equivalence_report,
     shmulyan_dominates,
-    shmulyan_equivalent,
 )
 from contraction_lab import harnack, suites
 from contraction_lab.corpus import GenSpec, generate, random_unitary
 from contraction_lab.harnack import FEJER_DEGREES, fejer_polynomial, real_part_at
-from contraction_lab.linalg import DEFAULT_TOL, Subspace, op_norm
+from contraction_lab.linalg import DEFAULT_TOL, ShapeMismatchError, Subspace, op_norm
 from contraction_lab.shmulyan import partial_isometry_part
 from contraction_lab.suites import partial_isometry_pairs
 
@@ -639,7 +638,9 @@ def criterion_pairs(criterion):
 
 
 class TestEquivalencesAgree:
-    """Harnack and Shmul'yan equivalence coincide on every suite pair."""
+    """Harnack and Shmul'yan equivalence coincide on every suite pair: the
+    chart decision of harnack_equivalence against the Harnack verdicts of
+    both directions."""
 
     @pytest.mark.parametrize("criterion, count", [(1, 1000), (4, 600), (6, 300), (7, 400)])
     def test_suite_pairs(self, criterion, count):
@@ -647,7 +648,42 @@ class TestEquivalencesAgree:
         assert len(pairs) == count
         seen = set()
         for k, (a, b) in enumerate(pairs):
-            equivalent = shmulyan_equivalent(a, b).equivalent
-            assert (harnack_equivalence(a, b).status == "equivalent") == equivalent, (criterion, k)
+            equivalent = harnack_equivalence(a, b).status == "equivalent"
+            dominated = (harnack_dominates(a, b).status, harnack_dominates(b, a).status)
+            assert (dominated == (DOMINATED, DOMINATED)) == equivalent, (criterion, k)
             seen.add(equivalent)
         assert seen == {True, False}
+
+
+class TestEquivalenceIsTheChartDecision:
+    """harnack_equivalence answers from the two leak tests at any dimension."""
+
+    def test_equivalent_scalars_past_the_symbol_grid(self):
+        # the symbol route leaves d + 1 >= 128 inconclusive; the chart does not
+        a, b = make_contraction(0.5 * np.eye(128)), make_contraction(0.3 * np.eye(128))
+        assert harnack_equivalence(a, b).status == "equivalent"
+
+    def test_kernel_escape_past_the_symbol_grid(self):
+        # e1 is isometric for a, and b moves it
+        a = make_contraction(np.diag(np.r_[1.0, np.full(127, 0.5)]))
+        b = make_contraction(0.5 * np.eye(128))
+        assert harnack_equivalence(a, b).status == "not_equivalent"
+        assert harnack_equivalence(b, a).status == "not_equivalent"
+
+    def test_no_harnack_verdict_is_computed(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("harnack_dominates called")
+
+        monkeypatch.setattr(harnack, "harnack_dominates", refuse)
+        _, w, _, cands = next(case for case in partial_isometry_pairs() if case[3])
+        (z_in, member), (z_out, non_member) = cands[0], cands[-1]
+        assert z_in < 1.0 and z_out == 1.0
+        assert harnack_equivalence(w, member).status == "equivalent"
+        assert harnack_equivalence(w, non_member).status == "not_equivalent"
+
+    def test_input_checks(self):
+        with pytest.raises(ShapeMismatchError):
+            harnack_equivalence(scalar(0.5), make_contraction(0.5 * np.eye(2)))
+        with pytest.raises(ValueError):
+            harnack_equivalence(make_contraction(np.zeros((2, 3))),
+                                make_contraction(np.zeros((2, 3))))

@@ -1,5 +1,5 @@
-"""Numeric substrate: ranges, subspaces, the Loewner order, and the test-side
-reference square roots, pseudoinverses and kernels."""
+"""Numeric substrate: ranges and subspaces, and the test-side reference
+square roots, pseudoinverses and kernels."""
 
 import numpy as np
 import pytest
@@ -7,19 +7,17 @@ from hypothesis import given, settings
 
 from contraction_lab.linalg import (
     DEFAULT_TOL,
-    NotHermitianError,
     NotPSDError,
     Subspace,
     Tolerances,
     matrix_from_json,
     matrix_to_json,
     op_norm,
-    psd_order_leq,
     range_of,
 )
 
 from conftest import psd_matrices, rectangular_matrices, reference_cases, rng_matrix
-from linalg_reference import kernel_of, pinv, psd_sqrt
+from linalg_reference import NotHermitianError, kernel_of, pinv, psd_sqrt
 
 J = np.array([[0, 1], [0, 0]], dtype=complex)
 
@@ -127,14 +125,6 @@ class TestOrderAndNorm:
         # the reference cases include a 0x3 matrix, whose norm is 0.0
         expected = float(np.linalg.norm(m, 2)) if m.size else 0.0
         assert op_norm(m) == expected
-
-    def test_psd_order(self):
-        assert psd_order_leq(np.zeros((2, 2)), np.eye(2))
-        assert not psd_order_leq(np.diag([1.0, 0.0]), np.diag([0.0, 1.0]))
-
-    def test_psd_order_rejects_non_hermitian(self):
-        with pytest.raises(NotHermitianError):
-            psd_order_leq(J, np.eye(2))
 
 
 class TestSubspace:

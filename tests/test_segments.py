@@ -1,5 +1,5 @@
-"""Segment radii: the proven radius, and the pruned search against the plain
-bracket-and-bisection."""
+"""Segment radii: the proven radius, the sampled radius search, and the
+whitened disc against one eigh of P."""
 
 import math
 
@@ -22,40 +22,6 @@ from conftest import rng_matrix
 
 SLACK = 1e-10
 KINDS = ("strict", "flat", "norm-one", "unitary", "tiny", "outside")
-
-
-def plain_radius_search(center, direction, slack, samples=128):
-    """The search evaluating every sample at every radius it tries."""
-    c = np.asarray(center, dtype=complex)
-    u = np.asarray(direction, dtype=complex)
-    limit = 1.0 + slack
-    if op_norm(u) <= 1e-14 * max(1.0, op_norm(c)):
-        return math.inf
-
-    def g(r):
-        return circle_max_norm(c, u, r, samples)
-
-    if g(RADIUS_FLOOR) > limit:
-        return 0.0
-    lo = RADIUS_FLOOR
-    hi = RADIUS_FLOOR
-    while hi < RADIUS_CAP:
-        nxt = hi * 4.0
-        if g(nxt) > limit:
-            lo, hi = hi, nxt
-            break
-        hi = nxt
-    else:
-        return math.inf
-    for _ in range(80):
-        if hi - lo <= RADIUS_RTOL * max(1.0, lo):
-            break
-        mid = 0.5 * (lo + hi)
-        if g(mid) <= limit:
-            lo = mid
-        else:
-            hi = mid
-    return lo
 
 
 def _scaled(m, norm):
@@ -120,16 +86,37 @@ def segment_case(kind, d, seed):
     raise ValueError(kind)
 
 
+def assert_largest_inside(c, u, slack, samples=128):
+    """radius_search returns the largest sampled radius inside 1 + slack, to
+    RADIUS_RTOL.  With an even sample count the circle holds each sample's
+    antipode, so the sampled maximum is nondecreasing in r and one radius on
+    each side of the answer decides it."""
+    def inside(r):
+        return circle_max_norm(c, u, r, samples) <= 1.0 + slack
+
+    r = radius_search(c, u, slack, samples)
+    if r == 0.0:
+        assert not inside(RADIUS_FLOOR)
+    elif math.isinf(r):
+        assert inside(RADIUS_CAP)
+    else:
+        assert RADIUS_FLOOR <= r < RADIUS_CAP
+        assert inside(r)
+        assert not inside(r + RADIUS_RTOL * max(1.0, r))
+    return r
+
+
 class TestSameDecisions:
     @pytest.mark.parametrize("samples", [128, 256])
     @pytest.mark.parametrize("d", [1, 2, 4, 8, 16])
     @pytest.mark.parametrize("kind", KINDS)
-    def test_equals_plain_search(self, kind, d, samples):
+    def test_largest_inside_radius(self, kind, d, samples):
         for seed in range(2):
-            c, u = segment_case(kind, d, 100 * d + seed)
-            want = plain_radius_search(c, u, SLACK, samples)
-            got = radius_search(c, u, SLACK, samples)
-            assert got == want or (math.isinf(got) and math.isinf(want)), (kind, d, seed)
+            assert_largest_inside(*segment_case(kind, d, 100 * d + seed), SLACK, samples)
+
+    def test_zero_slack_flat_pair(self):
+        # with no slack the rounding of ||w|| = 1 decides even the floor
+        assert_largest_inside(*segment_case("flat", 4, 3), 0.0)
 
     def test_every_exit_is_covered(self):
         exits = set()
@@ -140,59 +127,42 @@ class TestSameDecisions:
                     exits.add("floor" if r == 0.0 else "inf" if math.isinf(r) else "searched")
         assert exits == {"floor", "inf", "searched"}
 
-    def test_zero_slack_flat_pair(self):
-        # with no slack nothing on a flat stretch can be pruned
-        c, u = segment_case("flat", 4, 3)
-        assert radius_search(c, u, 0.0) == plain_radius_search(c, u, 0.0)
-
     def test_negligible_direction(self):
         c = np.eye(3, dtype=complex)
         assert radius_search(c, 1e-16 * c, SLACK) == math.inf
 
 
 class TestWork:
-    """The pruned search evaluates far fewer matrices than the plain one."""
+    """The search evaluates one sampled circle per radius it tries."""
 
     @staticmethod
-    def matrices(monkeypatch, search, c, u):
+    def circles(monkeypatch, c, u):
         count = [0]
-        svd = np.linalg.svd
 
-        def counting(a, *args, **kwargs):
-            # circle samples come in stacks; a 2-d SVD is the op_norm of
-            # the center or the direction, taken once per search
-            if np.ndim(a) > 2:
-                count[0] += math.prod(np.shape(a)[:-2])
-            return svd(a, *args, **kwargs)
+        def counting(*args):
+            count[0] += 1
+            return circle_max_norm(*args)
 
-        with monkeypatch.context() as m:
-            m.setattr(np.linalg, "svd", counting)
-            base = count[0]
-            result = search(c, u, SLACK, 128)
-        return result, count[0] - base
+        monkeypatch.setattr(segments, "circle_max_norm", counting)
+        return radius_search(c, u, SLACK), count[0]
 
-    def ratio(self, monkeypatch, c, u):
-        want, plain = self.matrices(monkeypatch, plain_radius_search, c, u)
-        got, pruned = self.matrices(monkeypatch, radius_search, c, u)
-        assert got == want
-        return pruned, plain
-
-    def test_flat_pair(self, monkeypatch):
-        pruned, plain = self.ratio(monkeypatch, *segment_case("flat", 8, 11))
-        assert pruned <= plain / 2
-
-    def test_strict_pair(self, monkeypatch):
-        pruned, plain = self.ratio(monkeypatch, *segment_case("strict", 8, 11))
-        assert pruned <= plain / 4
-
-    def test_not_dominated_pair(self, monkeypatch):
+    def test_floor_exit_costs_one_circle(self, monkeypatch):
         w, _, _ = _partial_isometry(8, 4, 11)
-        pruned, plain = self.ratio(monkeypatch, w, rng_matrix(5, 8, 8))
-        assert plain >= 128
-        assert pruned <= 8
+        assert self.circles(monkeypatch, w, rng_matrix(5, 8, 8)) == (0.0, 1)
 
-    def test_margin_is_positive(self):
-        assert 0.0 < segments.PRUNE_MARGIN < SLACK
+    def test_unbounded_exit_tries_every_bracket(self, monkeypatch):
+        # the floor, then RADIUS_FLOOR * 4^j up to the first past RADIUS_CAP
+        brackets = math.ceil(math.log(RADIUS_CAP / RADIUS_FLOOR, 4))
+        r, n = self.circles(monkeypatch, *segment_case("tiny", 4, 400))
+        assert (r, n) == (math.inf, 1 + brackets)
+
+    def test_bisection_halves_one_bracket(self, monkeypatch):
+        # [r, 4r] bisected down to RADIUS_RTOL * max(1, r)
+        r, n = self.circles(monkeypatch, *segment_case("strict", 8, 11))
+        brackets = math.ceil(math.log(r / RADIUS_FLOOR, 4))
+        halvings = math.ceil(math.log2(3.0 * r / (RADIUS_RTOL * max(1.0, r))))
+        assert 0.0 < r < math.inf
+        assert brackets < n <= 1 + brackets + halvings
 
 
 def radius_class(r):

@@ -21,7 +21,7 @@ from contraction_lab import (
 )
 from contraction_lab.contraction import _factored
 from contraction_lab.corpus import GenSpec, generate, random_unitary
-from contraction_lab.harnack import NOT_DOMINATED, harnack_dominates
+from contraction_lab.harnack import DOMINATED, NOT_DOMINATED, harnack_dominates
 from contraction_lab import segments, shmulyan, suites
 from contraction_lab.linalg import DEFAULT_TOL, Tolerances, op_norm, range_of
 from contraction_lab.segments import proven_radius
@@ -236,14 +236,17 @@ class TestPartialIsometryPart:
                      id="strict-near-isometric")])
     def test_one_answer_at_the_boundary(self, w, c, member):
         # the part, the Schur-function part of the constant, both
-        # equivalences and the arc decide the ball's boundary alike
+        # equivalences, the arc and the Harnack verdicts of both directions
+        # decide the ball's boundary alike
         w, c = make_contraction(w), make_contraction(c)
         answers = (partial_isometry_part(w).membership_test(c).member,
                    schur_part_member(w, schur_poly([c.mat])).member,
                    shmulyan_equivalent(w, c).equivalent,
                    harnack_equivalence(w, c).status == "equivalent",
-                   connect_arc(w, c).status == "connected")
-        assert answers == (member,) * 5
+                   connect_arc(w, c).status == "connected",
+                   (harnack_dominates(w, c).status, harnack_dominates(c, w).status)
+                   == (DOMINATED, DOMINATED))
+        assert answers == (member,) * 6
 
     def test_one_answer_on_criterion_4(self):
         # the three candidates, w itself and another partial isometry of
