@@ -96,10 +96,11 @@ INCONCLUSIVE = "inconclusive"
 # Inconclusive; that stop is the constant's only use.
 SYMBOL_GRID = 128
 
-# Equally spaced angles the symbol sweep samples besides the eigen-angles.
-# Its lowest sample becomes the Cayley point at infinity, whose value must
-# lie clearly below the best; the symbol of a = [[0, 1], [1/2, 0]] against
-# b = [[0, 1], [0, 0]] has period pi, and samples at 0 and pi alone tie.
+# Equally spaced angles the symbol sweep samples first, besides the distinct
+# angles of the nonzero eigenvalues of a and b.  Its lowest sample becomes
+# the Cayley point at infinity, whose value must lie clearly below the
+# best; the symbol of a = [[0, 1], [1/2, 0]] against b = [[0, 1], [0, 0]]
+# has period pi, and samples at 0 and pi alone tie.
 SYMBOL_START = 8
 
 # Cap on the level-set steps of the symbol sweep.  Each step solves one
@@ -256,8 +257,12 @@ def _symbol_sweep(a: np.ndarray, b: np.ndarray, svd_a, svd_b, spectra: np.ndarra
     transfer function D + C (e^{i theta} - b)^{-1} B of the state space
     (b, (b - a) D_a^+, D_b, D_b D_a^+), so its maximum norm is an
     H-infinity norm, found by the level-set iteration of Bruinsma and
-    Steinbuch (Systems & Control Letters 14, 1990).  It samples
-    SYMBOL_START equally spaced angles and the eigen-angles.  Each step
+    Steinbuch (Systems & Control Letters 14, 1990).  It first samples
+    SYMBOL_START equally spaced angles and the distinct angles of the
+    nonzero eigenvalues in ``spectra``: a zero eigenvalue has no angle,
+    and a repeated angle adds no sample.  Each sample is the top
+    eigenvalue of the k x k Gram (G D_a^+)* (G D_a^+), k <= d the kept
+    columns of D_a^+, one batched eigvalsh per stack.  Each step
     sends the lowest sample to the Cayley point at infinity, finds where
     the level SYMBOL_RTOL above the best sample meets a singular value
     (_level_crossings), and samples the midpoints between those angles.
@@ -282,9 +287,10 @@ def _symbol_sweep(a: np.ndarray, b: np.ndarray, svd_a, svd_b, spectra: np.ndarra
         """||G(theta) D_a^+||^2 at every angle."""
         lam = np.exp(1j * theta)[:, None, None]
         g = feed + left @ np.linalg.solve(lam * eye - b, gain)
-        return np.linalg.svd(g, compute_uv=False)[:, 0] ** 2
+        return np.linalg.eigvalsh(g.conj().transpose(0, 2, 1) @ g)[:, -1]
 
-    theta = np.concatenate([unit_circle(SYMBOL_START)[0], np.angle(spectra)])
+    angles = np.unique(np.angle(spectra[spectra != 0]))
+    theta = np.concatenate([unit_circle(SYMBOL_START)[0], angles])
     c2 = value(theta)
     for _ in range(SYMBOL_STEPS):
         best = float(c2.max())

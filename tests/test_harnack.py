@@ -286,6 +286,24 @@ class TestSymbol:
         assert v.status == INCONCLUSIVE and v.method == "symbol"
         assert v.levels == [1] and v.constant_estimate is None
 
+    def test_first_stack_samples_each_nonzero_eigen_angle_once(self, monkeypatch):
+        # the sixteen zero eigenvalues of a = 0 have no angle: the first
+        # stack holds the SYMBOL_START grid and b's sixteen eigen-angles
+        d = 16
+        a, b = make_contraction(np.zeros((d, d))), normal_of_radius(106, d, 0.9)
+        assert np.unique(np.angle(np.linalg.eigvals(b.mat))).size == d
+        batches = []
+
+        def recorded(m, rhs, _real=np.linalg.solve):
+            if np.ndim(m) == 3:
+                batches.append(m.shape[0])
+            return _real(m, rhs)
+
+        monkeypatch.setattr(np.linalg, "solve", recorded)
+        v = harnack_dominates(a, b)
+        assert v.status == DOMINATED and v.method == "symbol"
+        assert batches[0] == harnack.SYMBOL_START + d
+
     def test_escape_returns_before_the_sweep(self, monkeypatch):
         def no_sweep(*args):
             raise AssertionError("swept after a level-1 escape")
@@ -336,6 +354,12 @@ def dense_reference_pairs():
         pairs.append((f"nilpotent-{d}", gen("strict", d, d + 5, norm_bound=0.7),
                       make_contraction(0.95 * g / op_norm(g))))
     pairs.append(("shift-2", gen("strict", 2, 6, norm_bound=0.7), gen("nilpotent_shift", 2, 0)))
+    for d in (4, 8, 16):
+        # a half-rank partial isometry and its part: D_a^+ keeps d / 2 columns
+        w = gen("partial_isometry", d, 7 * d, rank=d // 2)
+        m = part_member(w, 0.5, 7 * d + 1)
+        pairs.append((f"w-member-{d}", w, m))
+        pairs.append((f"member-w-{d}", m, w))
     # a symbol of period pi: its samples at 0 and pi tie, its maximum 3 lies at pi / 2
     pairs.append(("period-pi", make_contraction([[0, 1], [0.5, 0]]), J))
     for d in (1, 3):
@@ -401,12 +425,23 @@ class TestLevelOneLeak:
         def refuse(*args):
             raise AssertionError("Gram matrix built")
 
+        shapes = []
+
+        def recorded(x, *args, _real=np.linalg.eigvalsh, **kwargs):
+            shapes.append(np.shape(x))
+            return _real(x, *args, **kwargs)
+
         monkeypatch.setattr(harnack, "_gram", refuse)
-        counts = count_calls(monkeypatch, "eigh", "eigvalsh")
+        counts = count_calls(monkeypatch, "eigh")
+        monkeypatch.setattr(np.linalg, "eigvalsh", recorded)
         v = harnack_dominates(w, b)
         assert v.status == DOMINATED and v.method == "symbol"
         assert v.levels == [1] and v.kernel_floor == 0.0
-        assert counts["eigh"] == 0 and counts["eigvalsh"] <= 1
+        # a 2-D eigvalsh is level 1 or a hierarchy Gram; the 3-D ones are
+        # the symbol sweep's sample stacks of k x k Grams, k <= d
+        assert counts["eigh"] == 0 and sum(len(x) == 2 for x in shapes) <= 1
+        stacks = [x for x in shapes if len(x) == 3]
+        assert stacks and all(x[1] == x[2] <= 8 for x in stacks)
 
 
 def criterion_4_forward_pairs():
